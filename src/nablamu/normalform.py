@@ -43,7 +43,7 @@ from .syntax import (
     sort_key,
 )
 from .frame import Frame, enumerate_frames, random_frame
-from .semantics import frame_index, iterate_stages
+from .semantics import FrameIndex, least_stable_stage
 
 __all__ = [
     "NotSigmaFragment",
@@ -515,12 +515,9 @@ def _exhaustive_frames(max_states: int, props: Tuple[str, ...]) -> Tuple[Frame, 
     return _EXHAUSTIVE_CACHE[key]
 
 
-def _init_mask_and_stage(eqf: EquationalFormula, frame: Frame) -> Tuple[int, int]:
-    index = frame_index(frame)
-    stages = iterate_stages(eqf.system, index)
-    last = stages[-1][eqf.init]
-    stage = next(i for i, st in enumerate(stages) if st[eqf.init] == last)
-    return last, stage
+def _init_mask_and_stage(eqf: EquationalFormula, index: FrameIndex) -> Tuple[int, int]:
+    final, stage = least_stable_stage(eqf.system, index, eqf.init)
+    return final[eqf.init], stage
 
 
 def _oracle_frames(
@@ -561,11 +558,12 @@ def to_conjunctive(
     checked = 0
     for label, fr in _oracle_frames(eqf, exhaustive_max, random_count):
         checked += 1
-        want, co_in = _init_mask_and_stage(eqf, fr)
-        got, co_out = _init_mask_and_stage(out, fr)
+        # one-shot frames: a private index, kept out of frame_index's cache
+        index = FrameIndex(fr)
+        want, co_in = _init_mask_and_stage(eqf, index)
+        got, co_out = _init_mask_and_stage(out, index)
         ordinals.append((label, co_in, co_out))
         if want != got:
-            index = frame_index(fr)
             mismatches.append((
                 label,
                 tuple(sorted(index.unmask(want))),

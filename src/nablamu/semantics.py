@@ -6,6 +6,13 @@ names.  An equation system is evaluated by ordinal approximation from
 below: stage 0 assigns every variable the empty set, stage a+1 adds the
 evaluation of each right-hand side under stage a, and on a finite frame
 the stages stabilise after at most |states| * |variables| steps.
+
+Each system is compiled once, on first use, into a stage program: a
+flat post-order list of mask operations (and, or, nab, box, dia) over
+slots shared by equal subformulas, with every closed subformula as a
+constant leaf.  A stage is one loop over that list.  ``FrameIndex.eval``
+is the recursive reference evaluator for arbitrary formulas; both paths
+share the modal steps ``FrameIndex.nab``/``box``/``dia``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ __all__ = [
     "FrameIndex",
     "frame_index",
     "iterate_stages",
+    "least_stable_stage",
     "eval_formula",
     "denotation",
     "stabilize",
@@ -83,7 +91,7 @@ class FrameIndex:
         return m
 
     def _eval(self, f: Formula, env: Mapping[str, int]) -> int:
-        n, full, succ = self.n, self.full, self.succ
+        full = self.full
         if isinstance(f, Prop):
             return self.prop_mask.get(f.name, 0)
         if isinstance(f, NegProp):
@@ -105,27 +113,11 @@ class FrameIndex:
                     break
             return acc
         if isinstance(f, Nabla):
-            members = [self.eval(a, env) for a in f.args]
-            inter = full
-            for m in members:
-                inter &= m
-            out = 0
-            for i in range(n):
-                sm = succ[i]
-                if sm & inter:
-                    out |= 1 << i
-                    continue
-                for m in members:
-                    if not sm & ~m:
-                        out |= 1 << i
-                        break
-            return out
+            return self.nab([self.eval(a, env) for a in f.args])
         if isinstance(f, Box):
-            m = self.eval(f.arg, env)
-            return sum(1 << i for i in range(n) if not succ[i] & ~m)
+            return self.box(self.eval(f.arg, env))
         if isinstance(f, Dia):
-            m = self.eval(f.arg, env)
-            return sum(1 << i for i in range(n) if succ[i] & m)
+            return self.dia(self.eval(f.arg, env))
         if isinstance(f, (Mu, Nu)):
             cur = 0 if isinstance(f, Mu) else full
             inner = dict(env)
@@ -137,28 +129,184 @@ class FrameIndex:
                 cur = nxt
         raise TypeError(f"cannot evaluate {type(f).__name__}")
 
+    # The modal steps, shared by ``eval`` and the stage program.
+
+    def nab(self, members: Sequence[int]) -> int:
+        """States where some successor lies in every member, or every
+        successor lies in one single member (``nab{}``: has a successor)."""
+        inter = self.full
+        for m in members:
+            inter &= m
+        out = 0
+        bit = 1
+        for sm in self.succ:
+            if sm & inter:
+                out |= bit
+            else:
+                for m in members:
+                    if not sm & ~m:
+                        out |= bit
+                        break
+            bit <<= 1
+        return out
+
+    def box(self, m: int) -> int:
+        """States all of whose successors lie in m."""
+        out = 0
+        bit = 1
+        for sm in self.succ:
+            if not sm & ~m:
+                out |= bit
+            bit <<= 1
+        return out
+
+    def dia(self, m: int) -> int:
+        """States with a successor in m."""
+        out = 0
+        bit = 1
+        for sm in self.succ:
+            if sm & m:
+                out |= bit
+            bit <<= 1
+        return out
+
 
 @lru_cache(maxsize=256)
 def frame_index(frame: Frame) -> FrameIndex:
     return FrameIndex(frame)
 
 
+# ---------------------------------------------------------------------------
+# Stage program
+# ---------------------------------------------------------------------------
+
+_AND, _OR, _NAB, _BOX, _DIA = range(5)
+
+
+class _StageProgram:
+    """An equation system compiled to a flat list of mask operations.
+
+    Slot i < |vars| holds variable i, the next slots hold the closed
+    subformulas of the bodies (the constant leaves, closed mu/nu
+    included), and each operation appends one slot, in post-order, so
+    that an operation only reads earlier slots.  Equal subformulas
+    share one slot.  ``roots[i]`` is the slot of the body of variable i.
+    """
+
+    __slots__ = ("consts", "ops", "roots")
+
+    def __init__(self, system: EquationSystem) -> None:
+        names = system.vars
+        seen = {Var(x) for x in names}
+        consts: List[Formula] = []
+        opened: List[Formula] = []
+        stack = [(system.eq(x), False) for x in reversed(names)]
+        while stack:
+            f, done = stack.pop()
+            if done:
+                opened.append(f)
+                continue
+            if f in seen:
+                continue
+            seen.add(f)
+            if not free_vars(f):
+                consts.append(f)
+                continue
+            stack.append((f, True))
+            if isinstance(f, (Box, Dia)):
+                stack.append((f.arg, False))
+            else:
+                stack.extend((a, False) for a in f.args)
+        slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(names)}
+        for f in consts + opened:
+            slot[f] = len(slot)
+        ops = []
+        for f in opened:
+            if isinstance(f, Box):
+                ops.append((_BOX, slot[f.arg]))
+            elif isinstance(f, Dia):
+                ops.append((_DIA, slot[f.arg]))
+            else:
+                code = _AND if isinstance(f, BigAnd) else _OR if isinstance(f, BigOr) else _NAB
+                ops.append((code, tuple(slot[a] for a in f.args)))
+        self.consts = tuple(consts)
+        self.ops = tuple(ops)
+        self.roots = tuple(slot[system.eq(x)] for x in names)
+
+
+def _program(system: EquationSystem) -> _StageProgram:
+    try:
+        return system._program
+    except AttributeError:
+        prog = _StageProgram(system)
+        object.__setattr__(system, "_program", prog)
+        return prog
+
+
+def _stage_masks(system: EquationSystem, index: FrameIndex) -> List[Tuple[int, ...]]:
+    """The approximation stages as mask tuples in variable order."""
+    prog = _program(system)
+    consts = [index.eval(f) for f in prog.consts]
+    ops, roots = prog.ops, prog.roots
+    full, nab, box, dia = index.full, index.nab, index.box, index.dia
+    cur = (0,) * len(roots)
+    stages = [cur]
+    bound = index.n * len(roots) + 2
+    while True:
+        vals = [*cur, *consts]
+        push = vals.append
+        for code, arg in ops:
+            if code == _NAB:
+                push(nab([vals[a] for a in arg]))
+            elif code == _OR:
+                acc = 0
+                for a in arg:
+                    acc |= vals[a]
+                push(acc)
+            elif code == _AND:
+                acc = full
+                for a in arg:
+                    acc &= vals[a]
+                push(acc)
+            elif code == _BOX:
+                push(box(vals[arg]))
+            else:
+                push(dia(vals[arg]))
+        nxt = tuple([c | vals[r] for c, r in zip(cur, roots)])
+        if nxt == cur:
+            return stages
+        stages.append(nxt)
+        cur = nxt
+        if len(stages) > bound:
+            raise AssertionError("approximation failed to stabilise within bound")
+
+
 def iterate_stages(system: EquationSystem, index: FrameIndex) -> List[Dict[str, int]]:
     """All approximation stages as variable-to-mask maps.
 
     ``stages[a]`` is stage a; the last entry is the stable valuation
-    (applying one more step leaves it unchanged).
+    (applying one more step leaves it unchanged).  Each stage evaluates
+    every body under the previous stage only (simultaneous iteration).
     """
-    stages: List[Dict[str, int]] = [{x: 0 for x in system.vars}]
-    bound = index.n * len(system.vars) + 2
-    while True:
-        cur = stages[-1]
-        nxt = {x: cur[x] | index.eval(system.eq(x), cur) for x in system.vars}
-        if nxt == cur:
-            return stages
-        stages.append(nxt)
-        if len(stages) > bound:
-            raise AssertionError("approximation failed to stabilise within bound")
+    names = system.vars
+    return [dict(zip(names, st)) for st in _stage_masks(system, index)]
+
+
+def least_stable_stage(
+    system: EquationSystem, index: FrameIndex, var: Optional[str] = None
+) -> Tuple[Dict[str, int], int]:
+    """The stable valuation as masks, and the least stage at which the
+    variable ``var`` (every variable, if None) has its stable value."""
+    stages = _stage_masks(system, index)
+    final = stages[-1]
+    if var is None:
+        # the stages grow strictly up to the stable one
+        first = len(stages) - 1
+    else:
+        i = system.vars.index(var)
+        last = final[i]
+        first = next(a for a, st in enumerate(stages) if st[i] == last)
+    return dict(zip(system.vars, final)), first
 
 
 def _as_valuation(index: FrameIndex, valuation: Optional[Mapping[str, Iterable[str]]]) -> Dict[str, int]:
@@ -186,9 +334,7 @@ def stabilize(
 ) -> Tuple[Dict[str, FrozenSet[str]], int]:
     """The stable valuation of the system and the least stage reaching it."""
     index = frame_index(frame)
-    stages = iterate_stages(system, index)
-    final = stages[-1]
-    first = next(a for a, v in enumerate(stages) if v == final)
+    final, first = least_stable_stage(system, index)
     return {x: index.unmask(m) for x, m in final.items()}, first
 
 
@@ -200,10 +346,7 @@ def denotation(eqf: EquationalFormula, frame: Frame) -> FrozenSet[str]:
 
 def closure_ordinal_on(frame: Frame, eqf: EquationalFormula) -> int:
     """Least stage at which the designated variable reaches its stable value."""
-    index = frame_index(frame)
-    stages = iterate_stages(eqf.system, index)
-    final = stages[-1][eqf.init]
-    return next(a for a, v in enumerate(stages) if v[eqf.init] == final)
+    return least_stable_stage(eqf.system, frame_index(frame), eqf.init)[1]
 
 
 def _stage_number(alpha: OrdinalLike, top: int) -> int:

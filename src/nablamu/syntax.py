@@ -67,9 +67,10 @@ class OpenQuantifier(ValueError):
 
 class Formula:
     """Base class.  Nodes are immutable by convention, hash-cached, and
-    compare structurally (argument sets are order-insensitive)."""
+    compare structurally (argument sets are order-insensitive).  Hash,
+    canonical text and free variables are computed once per node."""
 
-    __slots__ = ("_hash", "_text")
+    __slots__ = ("_hash", "_text", "_fv")
 
     def _ident(self) -> tuple:
         raise NotImplementedError
@@ -254,22 +255,29 @@ def dia(arg: Formula) -> Dia:
 
 
 def free_vars(f: Formula) -> FrozenSet[str]:
-    """Free variable names of f (propositions do not count)."""
+    """Free variable names of f (propositions do not count); memoised
+    per node."""
+    try:
+        return f._fv
+    except AttributeError:
+        pass
     match f:
         case Var(name):
-            return frozenset((name,))
+            out = frozenset((name,))
         case Prop() | NegProp():
-            return frozenset()
+            out = frozenset()
         case BigAnd(args) | BigOr(args) | Nabla(args):
-            out: FrozenSet[str] = frozenset()
+            out = frozenset()
             for a in args:
                 out |= free_vars(a)
-            return out
         case Mu(v, body) | Nu(v, body):
-            return free_vars(body) - {v}
+            out = free_vars(body) - {v}
         case Box(arg) | Dia(arg):
-            return free_vars(arg)
-    raise TypeError(f"not a formula: {f!r}")
+            out = free_vars(arg)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_fv", out)
+    return out
 
 
 def is_closed(f: Formula) -> bool:
@@ -538,9 +546,10 @@ class EquationSystem:
     formulas over the variables and closed formulas (Sigma-fragment
     equation system).  Bodies are stored as given (box/dia nodes are
     kept and count as guards); variable order is the declaration
-    order."""
+    order.  ``_program`` holds the compiled stage program of
+    ``nablamu.semantics``, set on first evaluation."""
 
-    __slots__ = ("vars", "_eqs")
+    __slots__ = ("vars", "_eqs", "_program")
 
     def __init__(self, equations: Union[Mapping[str, Formula], Iterable[Tuple[str, Formula]]]):
         if isinstance(equations, Mapping):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,11 +388,40 @@ def test_output_writes_file_atomically(capsys, files):
     assert leftovers == []
 
 
+# the launcher pip writes for a [project.scripts] entry
+SCRIPT_WRAPPER = """#!{python}
+# -*- coding: utf-8 -*-
+import re
+import sys
+from {module} import {func}
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit({func}())
+"""
+
+
 def test_console_script_is_installed(files):
+    # The [project.scripts] entry of pyproject.toml, run through the
+    # wrapper an install would put on PATH, against the source tree.
+    import tomllib  # Python >= 3.11 only, so not a module-level import
+
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, func = scripts["nablamu"].split(":")
+    bindir = files["tmp"] / "bin"
+    bindir.mkdir()
+    wrapper = bindir / "nablamu"
+    wrapper.write_text(SCRIPT_WRAPPER.format(
+        python=sys.executable, module=module, func=func))
+    wrapper.chmod(0o755)
+    env = dict(os.environ,
+               PATH=os.pathsep.join([str(bindir), os.environ.get("PATH", "")]),
+               PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         ["nablamu", "co", "--system", files["sys"],
          "--frame", files["frame"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
 

@@ -10,11 +10,15 @@ below its stage, and a cover needs each successor to match the member
 set or some single member to cover all successors.
 
 The conservative annotation assigns every satisfied closure formula its
-least approximation stage at every state.  From a conservative
-annotation over a tree, ``extract_relevant`` carves out a relevant
-part: a sub-annotation recording one reason per state for the
+least approximation stage at every state.  It is read off the
+first-stage table of the system's cached stage run on the frame
+(``semantics.first_stages``), so ``conservative`` and
+``verify_conservative`` share one run of the stages.  From a
+conservative annotation over a tree, ``extract_relevant`` carves out a
+relevant part: a sub-annotation recording one reason per state for the
 designated variable to hold at the root, duplicating successors where
-one copy cannot serve two reasons at once.
+one copy cannot serve two reasons at once.  It walks the tree with an
+explicit stack, so tree depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
                      ParseError, UnboundVariable, Var, closure, format_formula,
                      free_vars, is_closed, parse_formula, sort_key)
 from .frame import Frame, TreeFrame, UnknownState
-from .semantics import frame_index, iterate_stages
+from .semantics import first_stages, frame_index
 
 __all__ = [
     "AnnEntry",
@@ -292,26 +296,29 @@ def check_well_annotation(
 
 
 def conservative(system: EquationSystem, frame: Frame) -> Annotation:
-    """Annotate every satisfied closure formula with its least stage."""
+    """Annotate every satisfied closure formula with its least stage.
+
+    The stages are read off the first-stage table of the system's stage
+    run on the frame; a closure formula without a slot there is closed
+    and holds from stage 0.
+    """
     index = frame_index(frame)
-    stages = iterate_stages(system, index)
-    entries: Dict[str, Set[AnnEntry]] = {s: set() for s in frame.states}
-    for f in sorted(closure(system), key=sort_key):
-        seen = 0
-        least: Dict[int, int] = {}
-        for a, env in enumerate(stages):
-            m = index.eval(f, env)
-            new = m & ~seen
-            pos = 0
+    table = first_stages(system, index)
+    states = frame.states
+    entries: Dict[str, Set[AnnEntry]] = {s: set() for s in states}
+    stage: Dict[int, Ordinal] = {}
+    for f in closure(system):
+        firsts = table.get(f)
+        if firsts is None:
+            firsts = ((0, index.eval(f)),)
+        for a, new in firsts:
+            alpha = stage.get(a)
+            if alpha is None:
+                alpha = stage[a] = Ordinal.natural(a)
             while new:
-                if new & 1:
-                    least[pos] = a
-                new >>= 1
-                pos += 1
-            seen |= m
-        for s, i in index.position.items():
-            if i in least:
-                entries[s].add((f, Ordinal.natural(least[i])))
+                low = new & -new
+                entries[states[low.bit_length() - 1]].add((f, alpha))
+                new ^= low
     return Annotation(frame, entries)
 
 
@@ -507,9 +514,22 @@ def extract_relevant(
     def stage_of(state: str, f: Formula) -> List[Ordinal]:
         return sorted(b for g, b in theta.at(state) if g == f)
 
-    def build(orig: str, demands: Tuple[AnnEntry, ...]) -> str:
+    def route(routed: Dict[str, List[AnnEntry]], child: str, entry: AnnEntry) -> None:
+        bucket = routed.setdefault(child, [])
+        if entry not in bucket:
+            bucket.append(entry)
+
+    # Depth-first over (state, demands, parent copy), children pushed in
+    # reverse so that copies are made and named in pre-order.
+    todo: List[Tuple[str, Tuple[AnnEntry, ...], Optional[str]]] = [
+        (tree.root, ((Var(target), root_alpha),), None)
+    ]
+    while todo:
+        orig, demands, parent = todo.pop()
         sid = fresh_id(orig)
         new_states.append(sid)
+        if parent is not None:
+            new_edges.append((parent, sid))
         for p in tree.labels_of(orig):
             new_labels.setdefault(p, []).append(sid)
         theta_out[sid] = theta.at(orig)
@@ -556,12 +576,6 @@ def extract_relevant(
 
         kids = tree.children(orig)
         routed: Dict[str, List[AnnEntry]] = {}
-
-        def route(child: str, entry: AnnEntry) -> None:
-            bucket = routed.setdefault(child, [])
-            if entry not in bucket:
-                bucket.append(entry)
-
         covers = sorted(
             ((f, a) for f, a in marked if isinstance(f, Nabla) and a > ZERO),
             key=_entry_key,
@@ -580,7 +594,7 @@ def extract_relevant(
                         f"no child of {orig} carries {format_formula(g)} at"
                         f" stage {a} or above"
                     )
-                route(best[1], (g, best[0]))
+                route(routed, best[1], (g, best[0]))
             for t in sorted(dia_set(gamma, orig, theta)):
                 best_m: Optional[Tuple[Ordinal, Formula]] = None
                 for g in sorted(gamma, key=sort_key):
@@ -593,23 +607,19 @@ def extract_relevant(
                         f" {format_formula(f)} but carries no member at"
                         f" stage {a} or above"
                     )
-                route(t, (best_m[1], best_m[0]))
+                route(routed, t, (best_m[1], best_m[0]))
 
+        children = []
         for t in kids:
             entries = routed.get(t)
             if not entries:
-                cid = build(t, ())
-                new_edges.append((sid, cid))
+                children.append((t, (), sid))
             else:
-                for entry in entries:
-                    cid = build(t, (entry,))
-                    new_edges.append((sid, cid))
-
+                children.extend((t, (entry,), sid) for entry in entries)
+        todo.extend(reversed(children))
         phi_out[sid] = frozenset(marked)
-        return sid
 
-    root_id = build(tree.root, ((Var(target), root_alpha),))
-    new_tree = TreeFrame(new_states, new_edges, new_labels, root=root_id)
+    new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
     theta2 = Annotation(new_tree, theta_out)
     phi2 = Annotation(new_tree, phi_out)
 

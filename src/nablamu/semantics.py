@@ -3,21 +3,28 @@
 States are handled internally as bit masks over the frame's state
 tuple; the public functions accept and return frozen sets of state
 names.  An equation system is evaluated by ordinal approximation from
-below: stage 0 assigns every variable the empty set, stage a+1 adds the
-evaluation of each right-hand side under stage a, and on a finite frame
-the stages stabilise after at most |states| * |variables| steps.
+below: stage 0 assigns every variable the empty set and stage a+1
+evaluates each right-hand side under stage a.  Bodies are monotone
+(negation occurs only on propositions), so the stages grow, and on a
+finite frame they stabilise after at most |states| * |variables| steps.
 
 Each system is compiled once, on first use, into a stage program: a
 flat post-order list of mask operations (and, or, nab, box, dia) over
 slots shared by equal subformulas, with every closed subformula as a
-constant leaf.  A stage is one loop over that list.  ``FrameIndex.eval``
-is the recursive reference evaluator for arbitrary formulas; both paths
-share the modal steps ``FrameIndex.nab``/``box``/``dia``.
+constant leaf.  A stage is one step over that list.  Each
+``FrameIndex`` runs the program of a system once and keeps the run: the
+constant-leaf masks, the stages, the first-stage table (for every slot
+and stage, the states that first enter it there) and the memo of
+signature approximants.  ``iterate_stages``, ``least_stable_stage``,
+``approx``, ``sig_approx`` and ``first_stages`` all read that run.
+``FrameIndex.eval`` is the recursive evaluator for arbitrary formulas;
+both paths share the modal steps ``FrameIndex.nab``/``box``/``dia``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ordinal import Ordinal
@@ -31,6 +38,7 @@ __all__ = [
     "frame_index",
     "iterate_stages",
     "least_stable_stage",
+    "first_stages",
     "eval_formula",
     "denotation",
     "stabilize",
@@ -43,9 +51,10 @@ OrdinalLike = Union[int, Ordinal]
 
 
 class FrameIndex:
-    """A frame compiled to bit masks, with a cache for closed formulas."""
+    """A frame compiled to bit masks, with a cache for closed formulas
+    and one for stage runs, keyed by the stage program object."""
 
-    __slots__ = ("frame", "n", "full", "position", "succ", "prop_mask", "_closed")
+    __slots__ = ("frame", "n", "full", "position", "succ", "prop_mask", "_closed", "_runs")
 
     def __init__(self, frame: Frame) -> None:
         object.__setattr__(self, "frame", frame)
@@ -62,6 +71,7 @@ class FrameIndex:
             self, "prop_mask", {p: self.mask(ms) for p, ms in frame.labels.items()}
         )
         object.__setattr__(self, "_closed", {})
+        object.__setattr__(self, "_runs", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FrameIndex objects are immutable")
@@ -190,10 +200,11 @@ class _StageProgram:
     subformulas of the bodies (the constant leaves, closed mu/nu
     included), and each operation appends one slot, in post-order, so
     that an operation only reads earlier slots.  Equal subformulas
-    share one slot.  ``roots[i]`` is the slot of the body of variable i.
+    share one slot; ``slot`` maps each formula to its slot.
+    ``roots[i]`` is the slot of the body of variable i.
     """
 
-    __slots__ = ("consts", "ops", "roots")
+    __slots__ = ("consts", "ops", "roots", "slot")
 
     def __init__(self, system: EquationSystem) -> None:
         names = system.vars
@@ -232,6 +243,7 @@ class _StageProgram:
         self.consts = tuple(consts)
         self.ops = tuple(ops)
         self.roots = tuple(slot[system.eq(x)] for x in names)
+        self.slot = slot
 
 
 def _program(system: EquationSystem) -> _StageProgram:
@@ -243,42 +255,80 @@ def _program(system: EquationSystem) -> _StageProgram:
         return prog
 
 
-def _stage_masks(system: EquationSystem, index: FrameIndex) -> List[Tuple[int, ...]]:
+def _step(ops, vals: List[int], full: int, nab, box, dia) -> List[int]:
+    """One stage step: append every operation's mask to ``vals``, which
+    holds the variable masks and then the constant-leaf masks.  The
+    index's full mask and modal steps come as arguments, looked up once
+    by callers that step many times."""
+    push = vals.append
+    for code, arg in ops:
+        if code == _NAB:
+            push(nab([vals[a] for a in arg]))
+        elif code == _OR:
+            acc = 0
+            for a in arg:
+                acc |= vals[a]
+            push(acc)
+        elif code == _AND:
+            acc = full
+            for a in arg:
+                acc &= vals[a]
+            push(acc)
+        elif code == _BOX:
+            push(box(vals[arg]))
+        else:
+            push(dia(vals[arg]))
+    return vals
+
+
+def _stage_masks(prog: _StageProgram, index: FrameIndex,
+                 consts: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     """The approximation stages as mask tuples in variable order."""
-    prog = _program(system)
-    consts = [index.eval(f) for f in prog.consts]
-    ops, roots = prog.ops, prog.roots
-    full, nab, box, dia = index.full, index.nab, index.box, index.dia
+    roots = prog.roots
     cur = (0,) * len(roots)
     stages = [cur]
     bound = index.n * len(roots) + 2
+    ops, full, nab, box, dia = prog.ops, index.full, index.nab, index.box, index.dia
     while True:
-        vals = [*cur, *consts]
-        push = vals.append
-        for code, arg in ops:
-            if code == _NAB:
-                push(nab([vals[a] for a in arg]))
-            elif code == _OR:
-                acc = 0
-                for a in arg:
-                    acc |= vals[a]
-                push(acc)
-            elif code == _AND:
-                acc = full
-                for a in arg:
-                    acc &= vals[a]
-                push(acc)
-            elif code == _BOX:
-                push(box(vals[arg]))
-            else:
-                push(dia(vals[arg]))
-        nxt = tuple([c | vals[r] for c, r in zip(cur, roots)])
+        vals = _step(ops, [*cur, *consts], full, nab, box, dia)
+        nxt = tuple([vals[r] for r in roots])
         if nxt == cur:
             return stages
         stages.append(nxt)
         cur = nxt
         if len(stages) > bound:
             raise AssertionError("approximation failed to stabilise within bound")
+
+
+class _Run:
+    """The stage program of one system run on one ``FrameIndex``.
+
+    ``consts`` are the constant-leaf masks and ``stages`` the stage mask
+    tuples.  ``first`` is the first-stage table, filled on first use.
+    ``sig`` maps signatures to variable masks and ``bodies`` maps
+    variable masks to the body masks one step yields; both fill as
+    ``sig_approx`` asks.
+    """
+
+    __slots__ = ("prog", "consts", "stages", "first", "sig", "bodies")
+
+    def __init__(self, prog: _StageProgram, index: FrameIndex) -> None:
+        self.prog = prog
+        self.consts = tuple([index.eval(f) for f in prog.consts])
+        self.stages = _stage_masks(prog, index, self.consts)
+        self.first: Optional[Dict[Formula, Tuple[Tuple[int, int], ...]]] = None
+        self.sig: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self.bodies: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+
+def _run(system: EquationSystem, index: FrameIndex) -> _Run:
+    """The run of the system's stage program on the index, made once
+    and kept on the index under the program object."""
+    prog = _program(system)
+    run = index._runs.get(prog)
+    if run is None:
+        run = index._runs[prog] = _Run(prog, index)
+    return run
 
 
 def iterate_stages(system: EquationSystem, index: FrameIndex) -> List[Dict[str, int]]:
@@ -289,7 +339,7 @@ def iterate_stages(system: EquationSystem, index: FrameIndex) -> List[Dict[str, 
     every body under the previous stage only (simultaneous iteration).
     """
     names = system.vars
-    return [dict(zip(names, st)) for st in _stage_masks(system, index)]
+    return [dict(zip(names, st)) for st in _run(system, index).stages]
 
 
 def least_stable_stage(
@@ -297,7 +347,7 @@ def least_stable_stage(
 ) -> Tuple[Dict[str, int], int]:
     """The stable valuation as masks, and the least stage at which the
     variable ``var`` (every variable, if None) has its stable value."""
-    stages = _stage_masks(system, index)
+    stages = _run(system, index).stages
     final = stages[-1]
     if var is None:
         # the stages grow strictly up to the stable one
@@ -307,6 +357,34 @@ def least_stable_stage(
         last = final[i]
         first = next(a for a, st in enumerate(stages) if st[i] == last)
     return dict(zip(system.vars, final)), first
+
+
+def first_stages(
+    system: EquationSystem, index: FrameIndex
+) -> Dict[Formula, Tuple[Tuple[int, int], ...]]:
+    """For each formula with a slot in the system's stage program, the
+    pairs (a, m) in stage order where m is the nonempty mask of the
+    states at which the formula first holds at stage a.
+
+    Formulas without a slot (those inside constant leaves) are closed,
+    so they hold from stage 0 wherever ``index.eval`` holds.
+    """
+    run = _run(system, index)
+    if run.first is None:
+        prog, consts = run.prog, run.consts
+        ops, full, nab, box, dia = prog.ops, index.full, index.nab, index.box, index.dia
+        seen = [0] * len(prog.slot)
+        table: List[List[Tuple[int, int]]] = [[] for _ in seen]
+        for a, cur in enumerate(run.stages):
+            vals = _step(ops, [*cur, *consts], full, nab, box, dia)
+            for k, v in enumerate(vals):
+                new = v & ~seen[k]
+                if new:
+                    table[k].append((a, new))
+                    # slot values grow with the stages, as the bodies do
+                    seen[k] = v
+        run.first = {f: tuple(table[k]) for f, k in prog.slot.items()}
+    return dict(run.first)
 
 
 def _as_valuation(index: FrameIndex, valuation: Optional[Mapping[str, Iterable[str]]]) -> Dict[str, int]:
@@ -372,8 +450,8 @@ def approx(
     valuation, so transfinite stages are collapsed to it.
     """
     index = frame_index(frame)
-    stages = iterate_stages(system, index)
-    env = stages[_stage_number(alpha, len(stages) - 1)]
+    stages = _run(system, index).stages
+    env = dict(zip(system.vars, stages[_stage_number(alpha, len(stages) - 1)]))
     return index.unmask(index.eval(psi, env))
 
 
@@ -425,23 +503,38 @@ def sig_approx(
     index = frame_index(frame)
     cap = index.n * len(system.vars) + 1
     entries = _normalize_signature(sig, system, cap)
-    names = system.vars
-    memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    vals = _sig_valuation(_run(system, index), index, entries)
+    return index.unmask(index.eval(psi, dict(zip(system.vars, vals))))
 
-    def var_val(i: int, s: Tuple[int, ...]) -> int:
-        key = (i, s)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = 0
-        for b in range(s[i]):
-            acc |= body_val(i, s[:i] + (b,) + s[i + 1 :])
-        memo[key] = acc
-        return acc
 
-    def body_val(i: int, s: Tuple[int, ...]) -> int:
-        env = {names[j]: var_val(j, s) for j in range(len(names))}
-        return index.eval(system.eq(names[i]), env)
+def _sig_valuation(run: _Run, index: FrameIndex, sig: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The variable masks under a signature.
 
-    env = {names[j]: var_val(j, entries) for j in range(len(names))}
-    return index.unmask(index.eval(psi, env))
+    The bodies are monotone, so of the union over b < t_i that defines
+    entry i under t only its last term counts: body i under t lowered
+    by one at i.  Every signature below ``sig`` is filled in product
+    order, which visits each one after those it lowers to; the results
+    are kept on the run, and one step per distinct valuation gives all
+    body masks.
+    """
+    known, bodies, prog, consts = run.sig, run.bodies, run.prog, run.consts
+    got = known.get(sig)
+    if got is not None:
+        return got
+    ops, full, nab, box, dia = prog.ops, index.full, index.nab, index.box, index.dia
+    for t in product(*[range(e + 1) for e in sig]):
+        if t in known:
+            continue
+        vals = []
+        for i, e in enumerate(t):
+            if not e:
+                vals.append(0)
+                continue
+            low = known[t[:i] + (e - 1,) + t[i + 1:]]
+            roots = bodies.get(low)
+            if roots is None:
+                step = _step(ops, [*low, *consts], full, nab, box, dia)
+                roots = bodies[low] = tuple([step[r] for r in prog.roots])
+            vals.append(roots[i])
+        known[t] = tuple(vals)
+    return known[sig]

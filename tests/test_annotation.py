@@ -10,32 +10,43 @@ from nablamu import (
     AnnotationParseError,
     ExtractionFailure,
     ForeignFormula,
+    FrameIndex,
+    NegProp,
     OMEGA,
     Ordinal,
+    Prop,
     UnknownState,
     annotation_from_json,
     annotation_to_json,
     box_set,
     check_relevant,
     check_well_annotation,
+    closure,
     conservative,
+    czarnecki,
+    czarnecki_formula,
     denotation,
+    desugar,
     dia_set,
+    enumerate_frames,
     eval_formula,
     extract_relevant,
     format_annotation,
+    iterate_stages,
     parse_annotation,
     parse_formula,
     parse_frame,
     parse_system,
     preceq,
     preceq_annotation,
+    random_frame,
     stabilize,
+    to_equational,
     unravel,
     verify_conservative,
 )
 
-from conftest import random_instance
+from conftest import full_corpus, random_instance
 
 CHAIN = parse_frame("states: s0 s1 s2\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
 TREE = parse_frame(
@@ -143,6 +154,43 @@ def test_conservative_is_valid_and_minimal_on_random_instances():
         theta = conservative(eqf.system, frame)
         assert check_well_annotation(theta, eqf.system, frame=frame) == []
         assert verify_conservative(theta, eqf.system) == []
+
+
+def _least_stage_annotation(system, frame):
+    """The conservative annotation from its definition: every closure
+    formula evaluated under every stage, with the least stage per state."""
+    index = FrameIndex(frame)
+    stages = iterate_stages(system, index)
+    entries = {s: set() for s in frame.states}
+    for f in closure(system):
+        least = {}
+        for a, env in enumerate(stages):
+            m = index.eval(f, env)
+            for s, i in index.position.items():
+                if m >> i & 1 and s not in least:
+                    least[s] = a
+        for s, a in least.items():
+            entries[s].add((f, Ordinal.natural(a)))
+    return Annotation(frame, entries)
+
+
+def test_conservative_read_out_matches_definition():
+    # The first-stage read-out against the definition on every corpus
+    # system; closed_mu_leaf/closed_nu_leaf give closure formulas that
+    # sit inside constant leaves and have no slot in the stage program.
+    for name, eqf in full_corpus():
+        system = eqf.system
+        props = sorted({f.name for f in closure(system)
+                        if isinstance(f, (Prop, NegProp))})
+        frames = list(enumerate_frames(2, props))
+        rng = Random(name)
+        frames += [random_frame(rng.randint(1, 8),
+                                edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
+                                props=props, seed=rng.randrange(1 << 30))
+                   for _ in range(40)]
+        for fr in frames:
+            want = _least_stage_annotation(system, fr)
+            assert conservative(system, fr) == want, (name, fr)
 
 
 # ----------------------------------------------------------- checker clauses
@@ -290,6 +338,18 @@ def test_extract_relevant_on_unravelled_frame():
     theta = conservative(SYS.system, tree)
     _, th, phi = extract_relevant(theta, SYS.system, "x")
     assert check_relevant(phi, th, SYS.system) == []
+
+
+def test_extract_relevant_on_the_1200_tower():
+    # 1200 tree levels: the extraction walks the tree without recursion
+    eqf = to_equational(desugar(czarnecki_formula(1)))
+    tower = czarnecki(1, 1200)
+    theta = conservative(eqf.system, tower)
+    tree, th, phi = extract_relevant(theta, eqf.system, eqf.init)
+    assert tree.states == tower.states
+    root = entries_of(phi, tower.root)
+    assert root[parse_formula(eqf.init, vars={eqf.init})] == Ordinal.natural(1201)
+    assert check_relevant(phi, th, eqf.system) == []
 
 
 def test_extract_relevant_at_explicit_stage():

@@ -31,8 +31,9 @@ from nablamu import (
     to_equational,
     var,
 )
+from nablamu.semantics import first_stages, least_stable_stage
 
-from conftest import full_corpus, random_instance
+from conftest import full_corpus, random_instance, two_variable_corpus
 
 
 CHAIN3 = parse_frame("states: s0 s1 s2\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
@@ -247,3 +248,97 @@ def test_signature_length_must_match_variables():
     with pytest.raises(ValueError):
         sig_approx(var("x"), (Ordinal.natural(1), Ordinal.natural(1)),
                    REACH.system, CHAIN3)
+
+
+def _recursive_sig_approx(psi, sig, system, frame):
+    """The signature approximant from its definition, on FrameIndex.eval:
+    variable i under s is the union over b < s_i of body i under s with
+    entry i lowered to b."""
+    index = FrameIndex(frame)
+    names = system.vars
+
+    def var_val(i, s):
+        acc = 0
+        for b in range(s[i]):
+            low = s[:i] + (b,) + s[i + 1:]
+            env = {x: var_val(j, low) for j, x in enumerate(names)}
+            acc |= index.eval(system.eq(names[i]), env)
+        return acc
+
+    env = {x: var_val(j, sig) for j, x in enumerate(names)}
+    return index.unmask(index.eval(psi, env))
+
+
+def test_sig_approx_matches_definition():
+    for name, eqf in two_variable_corpus():
+        system = eqf.system
+        for seed in range(3):
+            frame = random_frame(5, edge_prob=0.4, props=("p", "q"), seed=seed)
+            frame_index.cache_clear()
+            for sig in [(i, j) for i in range(4) for j in range(4)]:
+                for psi in closure(system):
+                    want = _recursive_sig_approx(psi, sig, system, frame)
+                    assert sig_approx(psi, sig, system, frame) == want, (name, sig)
+
+
+# ------------------------------------------------------- the cached stage run
+
+def test_stage_results_are_fresh_copies():
+    idx = frame_index(CHAIN3)
+    stages = iterate_stages(REACH.system, idx)
+    want = [dict(st) for st in stages]
+    stages[1]["x"] = 7
+    stages.append({"x": 0})
+    assert iterate_stages(REACH.system, idx) == want
+    final, _ = least_stable_stage(REACH.system, idx)
+    final["x"] = 0
+    assert least_stable_stage(REACH.system, idx)[0] == want[-1]
+    table = first_stages(REACH.system, idx)
+    table.clear()
+    assert first_stages(REACH.system, idx)
+
+
+def test_systems_on_one_frame_keep_separate_runs():
+    # same variable names and shapes, different bodies
+    a = parse_system("system\ninit: x\nx = or{p, nab{y}}\ny = or{q, nab{x}}\n").system
+    b = parse_system("system\ninit: x\nx = or{q, nab{y}}\ny = or{p, nab{x}}\n").system
+    frame = random_frame(6, edge_prob=0.4, props=("p", "q"), seed=5)
+    sigs = [(i, j) for i in range(4) for j in range(4)]
+    both = [(sig_approx(var(v), sig, s, frame), approx(var(v), sum(sig), s, frame))
+            for s in (a, b) for v in ("x", "y") for sig in sigs]
+    assert len(frame_index(frame)._runs) == 2
+    frame_index.cache_clear()
+    alone = []
+    for s in (a, b):
+        alone += [(sig_approx(var(v), sig, s, frame), approx(var(v), sum(sig), s, frame))
+                  for v in ("x", "y") for sig in sigs]
+        frame_index.cache_clear()
+    assert both == alone
+    assert both[:len(sigs) * 2] != both[len(sigs) * 2:]
+
+
+def test_sig_approx_ignores_call_order_and_cache_clears():
+    _, eqf = two_variable_corpus()[0]
+    system = eqf.system
+    frame = random_frame(8, edge_prob=0.3, props=("p", "q"), seed=11)
+    calls = [(var(v), (i, j)) for v in system.vars for i in range(5) for j in range(5)]
+    frame_index.cache_clear()
+    forward = {c: sig_approx(c[0], c[1], system, frame) for c in calls}
+    frame_index.cache_clear()
+    backward = {c: sig_approx(c[0], c[1], system, frame) for c in reversed(calls)}
+    assert forward == backward
+    cleared = {}
+    for c in Random(3).sample(calls, len(calls)):
+        cleared[c] = sig_approx(c[0], c[1], system, frame)
+        frame_index.cache_clear()
+    assert cleared == forward
+
+
+def test_omega_signature_is_omega_stage():
+    for name, eqf in two_variable_corpus():
+        system = eqf.system
+        for seed in range(4):
+            frame = random_frame(10, edge_prob=0.25, props=("p", "q"), seed=seed)
+            for v in system.vars:
+                got = sig_approx(var(v), (OMEGA, OMEGA), system, frame)
+                assert got == approx(var(v), OMEGA, system, frame), (name, seed, v)

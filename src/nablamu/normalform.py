@@ -32,9 +32,8 @@ from .syntax import (
     Prop,
     UnguardedVariable,
     Var,
-    conjuncts,
+    _first_nonconjunctive,
     desugar,
-    disjuncts,
     format_formula,
     format_system,
     free_vars,
@@ -482,22 +481,6 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
     if len(ors) == 1:
         return next(iter(ors))
     return BigAnd(ors)
-
-
-def _first_nonconjunctive(system: EquationSystem) -> Optional[Formula]:
-    varset = frozenset(system.vars)
-    for x in system.vars:
-        for clause in conjuncts(system.eq(x)):
-            parts = disjuncts(clause)
-            modal = [
-                p for p in parts
-                if isinstance(p, Nabla)
-                and all(isinstance(a, Var) and a.name in varset for a in p.args)
-            ]
-            if len(modal) != 1 or any(
-                    free_vars(p) for p in parts if p not in modal):
-                return system.eq(x)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ and ``dia`` are sugar (box f = nab{f, ff}, dia f = and{nab{f}, nab{}})
 and are desugared at parse time unless asked otherwise.  Negation is
 restricted to propositional constants.  Argument sets of and/or/nab are
 genuine sets: duplicates collapse and order is irrelevant for equality.
+
+Formula nodes are hash-consed: every constructor returns the one node
+with its class and fields, so structural equality is object identity,
+and a node's free variables (``fv``) are set when it is first built.
+Canonical text is computed on first use and kept on the node.
 """
 
 from __future__ import annotations
@@ -66,32 +71,24 @@ class OpenQuantifier(ValueError):
 
 
 class Formula:
-    """Base class.  Nodes are immutable by convention, hash-cached, and
-    compare structurally (argument sets are order-insensitive).  Hash,
-    canonical text and free variables are computed once per node."""
+    """Base class of the hash-consed formula nodes.
 
-    __slots__ = ("_hash", "_text", "_fv")
+    Each constructor returns the one node stored under its class and
+    normalised fields, so equal formulas are the same object: ``==`` and
+    ``hash`` are the identity defaults, and argument sets compare
+    order-insensitively because they are frozensets of such nodes.
+    ``fv``, the set of free variable names, is set at construction from
+    the children's ``fv``; the canonical text is computed on first use
+    and kept.  Nodes are immutable by convention.
+    """
 
-    def _ident(self) -> tuple:
-        raise NotImplementedError
+    __slots__ = ("fv", "_text")
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        return self._ident() == other._ident()
+    def _free(self) -> FrozenSet[str]:
+        return _NO_VARS
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__,) + self._ident())
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -100,52 +97,67 @@ class Formula:
         return format_formula(self)
 
 
-class Prop(Formula):
+_NO_VARS: FrozenSet[str] = frozenset()
+
+# Strong references: with a weak table a freed formula could come back
+# under a new id, reordering formula sets from one pass to the next.
+_NODES: Dict[tuple, Formula] = {}
+
+
+def _node(cls, *fields) -> Formula:
+    """The one node of class ``cls`` with these (normalised, checked)
+    fields; made and given its free variables on first request."""
+    key = (cls, *fields)
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            setattr(node, name, value)
+        node.fv = node._free()
+        node = _NODES.setdefault(key, node)
+    return node
+
+
+def _check(f: object) -> None:
+    if not isinstance(f, Formula):
+        raise TypeError(f"formula expected, got {f!r}")
+
+
+class _Named(Formula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def _ident(self) -> tuple:
-        return (self.name,)
+    def __new__(cls, name: str):
+        return _node(cls, name)
 
 
-class NegProp(Formula):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def _ident(self) -> tuple:
-        return (self.name,)
+class Prop(_Named):
+    __slots__ = ()
 
 
-class Var(Formula):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
+class NegProp(_Named):
+    __slots__ = ()
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
-    def _ident(self) -> tuple:
-        return (self.name,)
+class Var(_Named):
+    __slots__ = ()
+
+    def _free(self) -> FrozenSet[str]:
+        return frozenset((self.name,))
 
 
 class _SetNode(Formula):
     __slots__ = ("args",)
     __match_args__ = ("args",)
 
-    def __init__(self, args: Iterable[Formula] = ()):
+    def __new__(cls, args: Iterable[Formula] = ()):
         args = frozenset(args)
         for a in args:
-            if not isinstance(a, Formula):
-                raise TypeError(f"formula expected, got {a!r}")
-        object.__setattr__(self, "args", args)
+            _check(a)
+        return _node(cls, args)
 
-    def _ident(self) -> tuple:
-        return (self.args,)
+    def _free(self) -> FrozenSet[str]:
+        return _NO_VARS.union(*(a.fv for a in self.args))
 
 
 class BigAnd(_SetNode):
@@ -164,14 +176,12 @@ class _Binder(Formula):
     __slots__ = ("var", "body")
     __match_args__ = ("var", "body")
 
-    def __init__(self, var: str, body: Formula):
-        if not isinstance(body, Formula):
-            raise TypeError(f"formula expected, got {body!r}")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
+    def __new__(cls, var: str, body: Formula):
+        _check(body)
+        return _node(cls, var, body)
 
-    def _ident(self) -> tuple:
-        return (self.var, self.body)
+    def _free(self) -> FrozenSet[str]:
+        return self.body.fv - {self.var}
 
 
 class Mu(_Binder):
@@ -188,13 +198,12 @@ class _Prefix(Formula):
     __slots__ = ("arg",)
     __match_args__ = ("arg",)
 
-    def __init__(self, arg: Formula):
-        if not isinstance(arg, Formula):
-            raise TypeError(f"formula expected, got {arg!r}")
-        object.__setattr__(self, "arg", arg)
+    def __new__(cls, arg: Formula):
+        _check(arg)
+        return _node(cls, arg)
 
-    def _ident(self) -> tuple:
-        return (self.arg,)
+    def _free(self) -> FrozenSet[str]:
+        return self.arg.fv
 
 
 class Box(_Prefix):
@@ -255,29 +264,9 @@ def dia(arg: Formula) -> Dia:
 
 
 def free_vars(f: Formula) -> FrozenSet[str]:
-    """Free variable names of f (propositions do not count); memoised
-    per node."""
-    try:
-        return f._fv
-    except AttributeError:
-        pass
-    match f:
-        case Var(name):
-            out = frozenset((name,))
-        case Prop() | NegProp():
-            out = frozenset()
-        case BigAnd(args) | BigOr(args) | Nabla(args):
-            out = frozenset()
-            for a in args:
-                out |= free_vars(a)
-        case Mu(v, body) | Nu(v, body):
-            out = free_vars(body) - {v}
-        case Box(arg) | Dia(arg):
-            out = free_vars(arg)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    object.__setattr__(f, "_fv", out)
-    return out
+    """Free variable names of f (propositions do not count)."""
+    _check(f)
+    return f.fv
 
 
 def is_closed(f: Formula) -> bool:
@@ -527,13 +516,18 @@ class _Parser:
 def parse_formula(text: str, vars: Iterable[str] = (), keep_sugar: bool = False) -> Formula:
     """Parse one formula.  Identifiers in ``vars`` (or bound by an
     enclosing mu/nu) become Var nodes; every other identifier is a
-    proposition.  box/dia are desugared unless keep_sugar is set."""
+    proposition.  box/dia are desugared unless keep_sugar is set.
+    Nesting deeper than the interpreter's recursion limit allows is a
+    ParseError."""
     parser = _Parser(_tokenize(text), frozenset(vars))
-    f = parser.formula(frozenset())
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return f if keep_sugar else desugar(f)
+    try:
+        f = parser.formula(frozenset())
+        tok = parser.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        return f if keep_sugar else desugar(f)
+    except RecursionError:
+        raise parser.error("formula nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -595,33 +589,33 @@ class EquationSystem:
         return f"EquationSystem({eqs})"
 
 
-def _validate_body(f: Formula, owner: str, varset: FrozenSet[str], guarded: bool = False) -> None:
+def _validate_body(body: Formula, owner: str, varset: FrozenSet[str]) -> None:
     """Equation bodies are quantifier-free over X and closed formulas;
     X-variables must sit under at least one nabla."""
-    match f:
-        case Var(name):
-            if name not in varset:
-                raise UnboundVariable(f"variable {name!r} in equation for {owner!r} has no equation")
-            if not guarded:
-                raise UnguardedVariable(f"variable {name!r} unguarded in equation for {owner!r}")
-        case Prop() | NegProp():
-            return
-        case BigAnd(args) | BigOr(args):
-            for a in args:
-                _validate_body(a, owner, varset, guarded)
-        case Nabla(args):
-            for a in args:
-                _validate_body(a, owner, varset, True)
-        case Mu() | Nu():
-            fv = free_vars(f)
-            if fv:
-                raise OpenQuantifier(
-                    f"quantified subformula {format_formula(f)!r} in equation for {owner!r} "
-                    f"has free variables {sorted(fv)}")
-        case Box(arg) | Dia(arg):
-            _validate_body(arg, owner, varset, True)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    stack = [(body, False)]
+    while stack:
+        f, guarded = stack.pop()
+        match f:
+            case Var(name):
+                if name not in varset:
+                    raise UnboundVariable(f"variable {name!r} in equation for {owner!r} has no equation")
+                if not guarded:
+                    raise UnguardedVariable(f"variable {name!r} unguarded in equation for {owner!r}")
+            case Prop() | NegProp():
+                pass
+            case BigAnd(args) | BigOr(args):
+                stack.extend((a, guarded) for a in args)
+            case Nabla(args):
+                stack.extend((a, True) for a in args)
+            case Mu() | Nu():
+                if f.fv:
+                    raise OpenQuantifier(
+                        f"quantified subformula {format_formula(f)!r} in equation for {owner!r} "
+                        f"has free variables {sorted(f.fv)}")
+            case Box(arg) | Dia(arg):
+                stack.append((arg, True))
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
 
 
 class EquationalFormula:
@@ -714,17 +708,20 @@ def is_conjunctive(sys: EquationSystem) -> bool:
     formulas plus exactly one nabla over variables" (a closed nabla
     counts as a closed formula only when it has non-variable members;
     the empty nabla is the Y = {} modal part)."""
+    return _first_nonconjunctive(sys) is None
+
+
+def _first_nonconjunctive(sys: EquationSystem) -> Optional[Formula]:
+    """The first equation body, in variable order, that is not in
+    conjunctive shape; None when the system is conjunctive."""
     varset = frozenset(sys.vars)
     for x in sys.vars:
         for clause in conjuncts(sys.eq(x)):
             parts = disjuncts(clause)
             modal = [p for p in parts if _is_var_nabla(p, varset)]
-            if len(modal) != 1:
-                return False
-            rest = [p for p in parts if not _is_var_nabla(p, varset)]
-            if any(free_vars(p) for p in rest):
-                return False
-    return True
+            if len(modal) != 1 or any(p.fv for p in parts if p not in modal):
+                return sys.eq(x)
+    return None
 
 
 # ---------------------------------------------------------------------------

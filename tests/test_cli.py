@@ -107,6 +107,16 @@ def test_parse_error_exits_2(capsys):
     assert "expected a formula" in err
 
 
+def test_too_deep_formula_exits_2_without_traceback():
+    text = "or{q, " * 400 + "nab{x}" + "}" * 400
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablamu", "parse", "--formula", text],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ------------------------------------------------------------ evaluation
 
 def test_eval_system(capsys, files):

@@ -1,5 +1,6 @@
 """Formula AST, parser/printer, closure, and shape predicates."""
 
+import pickle
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from nablamu import (
     NegatedVariable,
     Nu,
     OpenQuantifier,
+    Ordinal,
     ParseError,
     Prop,
     TT,
@@ -26,7 +28,9 @@ from nablamu import (
     Var,
     box,
     closure,
+    closure_ordinal_on,
     conj,
+    conservative,
     cover,
     desugar,
     dia,
@@ -40,12 +44,14 @@ from nablamu import (
     neg,
     nu,
     parse_formula,
+    parse_frame,
     parse_system,
     prop,
     size,
     substitute,
     var,
 )
+from nablamu.syntax import _first_nonconjunctive
 
 
 def fmt(text, **kw):
@@ -173,7 +179,9 @@ def test_print_parse_round_trip_random():
     for _ in range(300):
         f = random_ast(rng, 4, ("x", "y"))
         text = format_formula(f)
-        assert parse_formula(text, vars={"x", "y"}, keep_sugar=True) == f, text
+        g = parse_formula(text, vars={"x", "y"}, keep_sugar=True)
+        assert g == f, text
+        assert g is f, text
 
 
 def test_formulas_hash_and_compare_structurally():
@@ -181,6 +189,52 @@ def test_formulas_hash_and_compare_structurally():
     b = disj(cover(prop("q")), prop("p"))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    assert a is b
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_equal_fields_of_different_classes_stay_distinct():
+    p = prop("p")
+    body = cover(var("x"))
+    pairs = [(Prop("x"), Var("x")), (Prop("x"), NegProp("x")), (TT, FF),
+             (TT, cover()), (Box(p), Dia(p)), (Mu("x", body), Nu("x", body))]
+    for a, b in pairs:
+        assert a is not b and a != b and len({a, b}) == 2, (a, b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: BigAnd([prop("p"), bad]),
+    lambda bad: BigOr([bad]),
+    lambda bad: Nabla([bad, prop("p")]),
+    lambda bad: Mu("x", bad),
+    lambda bad: Nu("x", bad),
+    lambda bad: Box(bad),
+    lambda bad: Dia(bad),
+    lambda bad: free_vars(bad),
+])
+@pytest.mark.parametrize("bad", ["p", 3, None])
+def test_constructors_reject_non_formula_members(build, bad):
+    with pytest.raises(TypeError):
+        build(bad)
+
+
+def nested_text(depth):
+    return "or{q, " * depth + "nab{x}" + "}" * depth
+
+
+def test_parse_depth_150_parses():
+    f = parse_formula(nested_text(150), vars={"x"})
+    assert free_vars(f) == {"x"}
+    eqf = parse_system(f"system\ninit: x\nx = {nested_text(150)}\n")
+    assert eqf.system.eq("x") == f
+
+
+def test_parse_too_deep_is_a_parse_error():
+    text = nested_text(5000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(text, vars={"x"})
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_system(f"system\ninit: x\nx = {text}\n")
 
 
 # ----------------------------------------------------------- substitution
@@ -195,6 +249,27 @@ def test_free_vars():
     f = parse_formula("and{nab{x}, or{y, p}}", vars={"x", "y"})
     assert free_vars(f) == frozenset({"x", "y"})
     assert free_vars(mu("x", cover(var("x")))) == frozenset()
+
+
+def test_systems_nested_ten_thousand_deep_from_constructors():
+    # or{q, box ...} around nab{x}: no step may recurse on the depth.
+    def tower(order):
+        f = cover(var("x"))
+        for _ in range(10_000):
+            f = disj(*order(prop("q"), box(f)))
+        return f
+
+    body = tower(lambda a, b: (a, b))
+    again = tower(lambda a, b: (b, a))
+    assert body == again and hash(body) == hash(again) and body is again
+    assert free_vars(body) == {"x"}
+    eqf = EquationalFormula(EquationSystem([("x", body)]), "x")
+    # q holds everywhere, so the body holds from stage 0 and x from stage 1.
+    frame = parse_frame("states: a b\nedges: a->b b->a\nlabels: q: a b\n")
+    assert closure_ordinal_on(frame, eqf) == 1
+    ann = conservative(eqf.system, frame)
+    for s in ("a", "b"):
+        assert {(body, Ordinal.natural(0)), (var("x"), Ordinal.natural(1))} <= ann.at(s)
 
 
 # ------------------------------------------------------- equation systems
@@ -329,3 +404,11 @@ def test_conjunctive_rejects_two_covers_in_a_clause():
 
 def test_conjunctive_requires_exactly_one_cover_per_clause():
     assert not conjunctive_of("system\ninit: x\nx = or{p, box x}\n")
+
+
+def test_first_nonconjunctive_names_the_offending_body():
+    system = parse_system(
+        "system\ninit: y\ny = nab{y}\nx = and{nab{y}, or{nab{x}, nab{y}}}\n").system
+    assert _first_nonconjunctive(system) is system.eq("x")
+    assert _first_nonconjunctive(parse_system(
+        "system\ninit: x\nx = or{p, nab{x}}\n").system) is None

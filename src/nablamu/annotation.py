@@ -717,7 +717,7 @@ def annotation_from_json(
                  Ordinal.parse(e["ordinal"]))
                 for e in pairs
             ]
-    except (KeyError, TypeError, ParseError, OrdinalParseError) as exc:
+    except (AttributeError, KeyError, TypeError, ParseError, OrdinalParseError) as exc:
         raise AnnotationParseError(f"malformed annotation object: {exc}") from exc
     try:
         return Annotation(frame, entries)

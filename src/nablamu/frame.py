@@ -21,7 +21,7 @@ from random import Random
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
-from .syntax import Formula, Var, Prop, BigAnd, BigOr, Mu, box, dia, FF
+from .syntax import Formula, Var, Prop, BigAnd, BigOr, Mu, box, dia, FF, _postorder
 
 __all__ = [
     "Frame",
@@ -241,14 +241,13 @@ def tree_canonical_form(tree: TreeFrame, decorate: Optional[Callable[[str], str]
     Two tree frames are isomorphic as labelled (and, via ``decorate``,
     decorated) trees exactly when their canonical forms coincide.
     """
-
-    def form(s: str) -> str:
+    forms: Dict[str, str] = {}
+    for s in _postorder((tree.root,), tree.children):
         labs = " ".join(sorted(tree.labels_of(s)))
         dec = decorate(s) if decorate is not None else ""
-        kids = sorted(form(c) for c in tree.children(s))
-        return "(" + labs + "|" + dec + "|" + ",".join(kids) + ")"
-
-    return form(tree.root)
+        kids = sorted(forms[c] for c in tree.children(s))
+        forms[s] = "(" + labs + "|" + dec + "|" + ",".join(kids) + ")"
+    return forms[tree.root]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def frame_from_json(data: Mapping) -> Frame:
         if "root" in data:
             return TreeFrame(states, edges, labels, root=data["root"])
         return Frame(states, edges, labels)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (UnknownState, InvalidParameter, NotATree)):
             raise FrameParseError(str(exc)) from exc
         raise FrameParseError(f"malformed frame object: {exc}") from exc

@@ -15,7 +15,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .syntax import (
     BigAnd,
@@ -33,6 +33,7 @@ from .syntax import (
     UnguardedVariable,
     Var,
     _first_nonconjunctive,
+    _postorder,
     desugar,
     format_formula,
     format_system,
@@ -96,31 +97,19 @@ class TranslationReport:
 # ---------------------------------------------------------------------------
 
 
-def _idents(f: Formula, out: Set[str]) -> None:
-    match f:
-        case Prop(name) | NegProp(name) | Var(name):
-            out.add(name)
-        case BigAnd(args) | BigOr(args) | Nabla(args):
-            for a in args:
-                _idents(a, out)
-        case Box(arg) | Dia(arg):
-            _idents(arg, out)
-        case Mu(v, body) | Nu(v, body):
-            out.add(v)
-            _idents(body, out)
+def _idents(roots: Iterable[Formula]) -> Set[str]:
+    """Every proposition, variable and binder name in the formulas."""
+    out: Set[str] = set()
+    for f in _postorder(roots):
+        match f:
+            case Prop(name) | NegProp(name) | Var(name) | Mu(name) | Nu(name):
+                out.add(name)
+    return out
 
 
-def _prop_names(f: Formula, out: Set[str]) -> None:
-    match f:
-        case Prop(name) | NegProp(name):
-            out.add(name)
-        case BigAnd(args) | BigOr(args) | Nabla(args):
-            for a in args:
-                _prop_names(a, out)
-        case Box(arg) | Dia(arg):
-            _prop_names(arg, out)
-        case Mu(_, body) | Nu(_, body):
-            _prop_names(body, out)
+def _prop_names(roots: Iterable[Formula]) -> Set[str]:
+    """Every proposition name, negated or not, in the formulas."""
+    return {f.name for f in _postorder(roots) if isinstance(f, (Prop, NegProp))}
 
 
 def _fresh_names(used: Set[str]) -> Iterator[str]:
@@ -193,10 +182,8 @@ def to_equational(phi: Formula) -> EquationalFormula:
     fv = free_vars(phi)
     if fv:
         raise NotSigmaFragment(f"formula has free variables {sorted(fv)}")
-    used: Set[str] = set()
-    _idents(phi, used)
-    props: Set[str] = set()
-    _prop_names(phi, props)
+    used = _idents((phi,))
+    props = _prop_names((phi,))
 
     taken: Set[str] = set()
     equations: List[Optional[Tuple[str, Formula]]] = []
@@ -271,9 +258,7 @@ _RELATION_CAP = 4096
 class _Conjunctivizer:
     def __init__(self, eqf: EquationalFormula):
         self.eqf = eqf
-        used: Set[str] = set(eqf.system.vars)
-        for _, body in eqf.system.equations:
-            _idents(body, used)
+        used = _idents(body for _, body in eqf.system.equations) | set(eqf.system.vars)
         self.names = _fresh_names(used)
         self.roles: Dict[str, str] = {}
         self.order: List[str] = list(eqf.system.vars)
@@ -508,10 +493,7 @@ def _oracle_frames(
     exhaustive_max: int,
     random_count: int,
 ) -> Iterator[Tuple[str, Frame]]:
-    props: Set[str] = set()
-    for _, body in eqf.system.equations:
-        _prop_names(body, props)
-    prop_tuple = tuple(sorted(props))
+    prop_tuple = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     for i, fr in enumerate(_exhaustive_frames(exhaustive_max, prop_tuple)):
         yield f"E{len(fr.states)}#{i}", fr
     seed = zlib.crc32(format_system(eqf).encode())

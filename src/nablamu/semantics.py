@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from .ordinal import Ordinal
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationalFormula, EquationSystem,
                      Formula, Mu, NegProp, Nabla, Nu, Prop, UnboundVariable, Var,
-                     free_vars)
+                     _children, _postorder, free_vars)
 from .frame import Frame
 
 __all__ = [
@@ -208,27 +208,12 @@ class _StageProgram:
 
     def __init__(self, system: EquationSystem) -> None:
         names = system.vars
-        seen = {Var(x) for x in names}
+        slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(names)}
         consts: List[Formula] = []
         opened: List[Formula] = []
-        stack = [(system.eq(x), False) for x in reversed(names)]
-        while stack:
-            f, done = stack.pop()
-            if done:
-                opened.append(f)
-                continue
-            if f in seen:
-                continue
-            seen.add(f)
-            if not free_vars(f):
-                consts.append(f)
-                continue
-            stack.append((f, True))
-            if isinstance(f, (Box, Dia)):
-                stack.append((f.arg, False))
-            else:
-                stack.extend((a, False) for a in f.args)
-        slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(names)}
+        for f in _postorder([system.eq(x) for x in names], lambda f: _children(f) if f.fv else ()):
+            if f not in slot:
+                (opened if f.fv else consts).append(f)
         for f in consts + opened:
             slot[f] = len(slot)
         ops = []

@@ -19,12 +19,25 @@ Formula nodes are hash-consed: every constructor returns the one node
 with its class and fields, so structural equality is object identity,
 and a node's free variables (``fv``) are set when it is first built.
 Canonical text is computed on first use and kept on the node.
+
+Passes over formulas and trees share one explicit-stack walk,
+``_postorder``, which lists each distinct reachable node once, after
+its kids: ``desugar``, ``substitute``, ``closure``, the stage-program
+compiler, ``normalform``'s name scans and ``frame.tree_canonical_form``
+run on it, so none is bounded by the recursion limit.  Recursive on
+purpose: the parser; ``format_formula``, since an iterative printer
+would keep a string per level of a deep nest (quadratic memory);
+``FrameIndex.eval``, the reference the stage program is checked
+against; and ``normalform``'s ``to_equational`` walk, ``hoist``/``cnf``
+and ``_resolve_unguarded``, whose binder environment or visiting order
+names fresh variables.  ``_validate_body`` keeps its own stack to track
+guardedness per path.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Formula", "Prop", "NegProp", "Var", "BigAnd", "BigOr", "Nabla",
@@ -45,6 +58,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -273,51 +287,72 @@ def is_closed(f: Formula) -> bool:
     return not free_vars(f)
 
 
+def _children(f: Formula) -> Iterable[Formula]:
+    """Set members, the prefix argument or the binder body."""
+    match f:
+        case BigAnd(args) | BigOr(args) | Nabla(args):
+            return args
+        case Box(arg) | Dia(arg):
+            return (arg,)
+        case Mu(_, body) | Nu(_, body):
+            return (body,)
+        case Prop() | NegProp() | Var():
+            return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _postorder(roots: Iterable, kids: Callable = _children) -> List:
+    """Each distinct node reachable from ``roots`` through ``kids``,
+    once, after its kids (on a cycle, after those not yet begun)."""
+    order: List = []
+    seen: set = set()
+    stack = [(r, False) for r in reversed(list(roots))]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids(node))
+    return order
+
+
+def _rebuild(f: Formula, new: Mapping[Formula, Formula]) -> Formula:
+    """``f`` with each immediate subformula ``g`` replaced by ``new[g]``."""
+    match f:
+        case BigAnd(args) | BigOr(args) | Nabla(args):
+            return type(f)(new[a] for a in args)
+        case Box(arg) | Dia(arg):
+            return type(f)(new[arg])
+        case Mu(v, body) | Nu(v, body):
+            return type(f)(v, new[body])
+    return f
+
+
 def desugar(f: Formula) -> Formula:
     """Eliminate box/dia: box f = nab{f, ff}, dia f = and{nab{f}, nab{}}."""
-    match f:
-        case Prop() | NegProp() | Var():
-            return f
-        case BigAnd(args):
-            return BigAnd(desugar(a) for a in args)
-        case BigOr(args):
-            return BigOr(desugar(a) for a in args)
-        case Nabla(args):
-            return Nabla(desugar(a) for a in args)
-        case Mu(v, body):
-            return Mu(v, desugar(body))
-        case Nu(v, body):
-            return Nu(v, desugar(body))
-        case Box(arg):
-            return Nabla((desugar(arg), FF))
-        case Dia(arg):
-            return BigAnd((Nabla((desugar(arg),)), Nabla()))
-    raise TypeError(f"not a formula: {f!r}")
+    new: Dict[Formula, Formula] = {}
+    for g in _postorder((f,)):
+        match g:
+            case Box(arg):
+                new[g] = Nabla((new[arg], FF))
+            case Dia(arg):
+                new[g] = BigAnd((Nabla((new[arg],)), Nabla()))
+            case _:
+                new[g] = _rebuild(g, new)
+    return new[f]
 
 
 def substitute(f: Formula, name: str, value: Formula) -> Formula:
     """Replace free occurrences of Var(name).  The replacement is assumed
     closed (the only use is fixpoint unfolding), so no capture arises."""
-    match f:
-        case Var(n):
-            return value if n == name else f
-        case Prop() | NegProp():
-            return f
-        case BigAnd(args):
-            return BigAnd(substitute(a, name, value) for a in args)
-        case BigOr(args):
-            return BigOr(substitute(a, name, value) for a in args)
-        case Nabla(args):
-            return Nabla(substitute(a, name, value) for a in args)
-        case Mu(v, body):
-            return f if v == name else Mu(v, substitute(body, name, value))
-        case Nu(v, body):
-            return f if v == name else Nu(v, substitute(body, name, value))
-        case Box(arg):
-            return Box(substitute(arg, name, value))
-        case Dia(arg):
-            return Dia(substitute(arg, name, value))
-    raise TypeError(f"not a formula: {f!r}")
+    _check(f)
+    new: Dict[Formula, Formula] = {Var(name): value}
+    for g in _postorder((f,), lambda g: _children(g) if name in g.fv else ()):
+        if g not in new:
+            new[g] = _rebuild(g, new) if name in g.fv else g
+    return new[f]
 
 
 # ---------------------------------------------------------------------------
@@ -649,23 +684,13 @@ def closure(sys: EquationSystem) -> FrozenSet[Formula]:
     """Smallest set containing every E(x), closed under taking members of
     and/or/nab argument sets (box/dia arguments likewise) and the single
     unfolding of closed mu/nu subformulas."""
-    todo: List[Formula] = [sys.eq(x) for x in sys.vars]
-    seen: set = set()
-    while todo:
-        f = todo.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        match f:
-            case BigAnd(args) | BigOr(args) | Nabla(args):
-                todo.extend(args)
-            case Box(arg) | Dia(arg):
-                todo.append(arg)
-            case Mu(v, body) | Nu(v, body):
-                todo.append(substitute(body, v, f))
-            case _:
-                pass
-    return frozenset(seen)
+
+    def kids(f: Formula) -> Iterable[Formula]:
+        if isinstance(f, (Mu, Nu)):
+            return (substitute(f.body, f.var, f),)
+        return _children(f)
+
+    return frozenset(_postorder([sys.eq(x) for x in sys.vars], kids))
 
 
 def size(sys: EquationSystem) -> int:
@@ -732,20 +757,20 @@ def _first_nonconjunctive(sys: EquationSystem) -> Optional[Formula]:
 def parse_system(text: str) -> EquationalFormula:
     """Parse the .mes format: header line ``system``, one ``init: x``
     line, and ``x = formula`` equation lines; ``#`` starts a comment."""
-    raw_lines = text.splitlines()
-    lines: List[Tuple[int, str]] = []
-    for idx, raw in enumerate(raw_lines, start=1):
-        body = raw.split("#", 1)[0].strip()
+    lines: List[Tuple[int, int, str]] = []
+    for idx, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        body = code.strip()
         if body:
-            lines.append((idx, body))
+            lines.append((idx, len(code) - len(code.lstrip()), body))
     if not lines:
         raise ParseError("empty system file", 1, 1)
-    header_no, header = lines[0]
+    header_no, _, header = lines[0]
     if header != "system":
         raise ParseError(f"expected header 'system', found {header!r}", header_no, 1)
     init: Optional[str] = None
-    eq_lines: List[Tuple[int, str, str]] = []
-    for no, line in lines[1:]:
+    eq_lines: List[Tuple[int, int, str, str]] = []
+    for no, lead, line in lines[1:]:
         if line.startswith("init:"):
             if init is not None:
                 raise ParseError("duplicate init line", no, 1)
@@ -759,15 +784,15 @@ def parse_system(text: str) -> EquationalFormula:
         name = name.strip()
         if not _IDENT.fullmatch(name) or name in KEYWORDS:
             raise ParseError(f"bad variable name {name!r}", no, 1)
-        eq_lines.append((no, name, rhs.strip()))
-    names = [name for _, name, _ in eq_lines]
-    varset = frozenset(names)
+        rhs = rhs.lstrip()
+        eq_lines.append((no, lead + len(line) - len(rhs), name, rhs))
+    varset = frozenset(name for _, _, name, _ in eq_lines)
     equations: List[Tuple[str, Formula]] = []
-    for no, name, rhs in eq_lines:
+    for no, offset, name, rhs in eq_lines:
         try:
             body = parse_formula(rhs, vars=varset, keep_sugar=True)
         except ParseError as exc:
-            raise ParseError(f"in equation for {name!r}: {exc.args[0]}", no, exc.col) from None
+            raise ParseError(f"in equation for {name!r}: {exc.message}", no, offset + exc.col) from None
         equations.append((name, body))
     system = EquationSystem(equations)
     if init is None:

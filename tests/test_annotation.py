@@ -431,6 +431,14 @@ def test_json_round_trip():
     assert all(back.at(s) == theta.at(s) for s in CHAIN.states)
 
 
+@pytest.mark.parametrize("bad", [
+    [], "x", 3, {"s0": [{"formula": "p", "ordinal": 1}]},
+])
+def test_annotation_json_raises_only_annotation_parse_errors(bad):
+    with pytest.raises(AnnotationParseError):
+        annotation_from_json(bad, CHAIN, SYS.system.vars)
+
+
 def test_parse_annotation_transfinite_stages():
     ann = parse_annotation("s0: nab{x} @ w.2; x @ w.2+1;\n", CHAIN, ("x",))
     assert entries_of(ann, "s0")[NAB_X] == Ordinal.omega_times(2)

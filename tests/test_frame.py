@@ -176,6 +176,42 @@ def test_tree_canonical_form_decoration():
     assert plain != decorated
 
 
+def ref_tree_canonical_form(tree, decorate=None):
+    """The recursive canonical form that the shared post-order walk replaced."""
+
+    def form(s):
+        labs = " ".join(sorted(tree.labels_of(s)))
+        dec = decorate(s) if decorate is not None else ""
+        kids = sorted(form(c) for c in tree.children(s))
+        return "(" + labs + "|" + dec + "|" + ",".join(kids) + ")"
+
+    return form(tree.root)
+
+
+def renamed(tree):
+    name = {s: f"r{i}" for i, s in enumerate(reversed(tree.states))}
+    return TreeFrame([name[s] for s in tree.states],
+                     [(name[a], name[b]) for a, b in tree.edges],
+                     {p: [name[s] for s in ms] for p, ms in tree.labels.items()},
+                     root=name[tree.root])
+
+
+def test_tree_canonical_form_on_the_1200_tower():
+    t = czarnecki(1, 1200)
+    assert tree_canonical_form(t) == tree_canonical_form(renamed(t))
+
+
+def test_tree_canonical_form_matches_recursive_reference():
+    trees = [czarnecki(n, k) for n in range(1, 4) for k in range(1, 5)]
+    for seed in range(20):
+        fr = random_frame(1 + seed % 5, edge_prob=0.4, seed=seed)
+        trees.append(unravel(fr, fr.states[0], 1 + seed % 4))
+    for t in trees:
+        assert tree_canonical_form(t) == ref_tree_canonical_form(t)
+        depth = lambda s: str(len(t.ancestors(s)))
+        assert tree_canonical_form(t, depth) == ref_tree_canonical_form(t, depth)
+
+
 # ------------------------------------------------------------- text format
 
 def test_frame_text_round_trip():
@@ -235,6 +271,14 @@ def test_frame_json_rejects_malformed():
         frame_from_json({"edges": []})
     with pytest.raises(FrameParseError):
         frame_from_json({"states": ["a"], "edges": [["a", "b"]]})
+
+
+@pytest.mark.parametrize("bad", [
+    [], "x", 3, {"states": ["a"], "labels": []}, {"states": ["a"], "edges": 3},
+])
+def test_frame_json_raises_only_frame_parse_errors(bad):
+    with pytest.raises(FrameParseError):
+        frame_from_json(bad)
 
 
 def test_dot_output_mentions_every_state_and_edge():

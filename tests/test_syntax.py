@@ -53,9 +53,93 @@ from nablamu import (
 )
 from nablamu.syntax import _first_nonconjunctive
 
+from conftest import full_corpus
+
 
 def fmt(text, **kw):
     return format_formula(parse_formula(text, **kw))
+
+
+# Reference implementations: the recursive desugar/substitute and the
+# worklist closure that the shared post-order walk replaced.  The walk
+# must return the same interned nodes and the same closure sets.
+
+def ref_desugar(f):
+    match f:
+        case Prop() | NegProp() | Var():
+            return f
+        case BigAnd(args):
+            return BigAnd(ref_desugar(a) for a in args)
+        case BigOr(args):
+            return BigOr(ref_desugar(a) for a in args)
+        case Nabla(args):
+            return Nabla(ref_desugar(a) for a in args)
+        case Mu(v, body):
+            return Mu(v, ref_desugar(body))
+        case Nu(v, body):
+            return Nu(v, ref_desugar(body))
+        case Box(arg):
+            return Nabla((ref_desugar(arg), FF))
+        case Dia(arg):
+            return BigAnd((Nabla((ref_desugar(arg),)), Nabla()))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_substitute(f, name, value):
+    match f:
+        case Var(n):
+            return value if n == name else f
+        case Prop() | NegProp():
+            return f
+        case BigAnd(args):
+            return BigAnd(ref_substitute(a, name, value) for a in args)
+        case BigOr(args):
+            return BigOr(ref_substitute(a, name, value) for a in args)
+        case Nabla(args):
+            return Nabla(ref_substitute(a, name, value) for a in args)
+        case Mu(v, body):
+            return f if v == name else Mu(v, ref_substitute(body, name, value))
+        case Nu(v, body):
+            return f if v == name else Nu(v, ref_substitute(body, name, value))
+        case Box(arg):
+            return Box(ref_substitute(arg, name, value))
+        case Dia(arg):
+            return Dia(ref_substitute(arg, name, value))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_closure(sys):
+    todo = [sys.eq(x) for x in sys.vars]
+    seen = set()
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        match f:
+            case BigAnd(args) | BigOr(args) | Nabla(args):
+                todo.extend(args)
+            case Box(arg) | Dia(arg):
+                todo.append(arg)
+            case Mu(v, body) | Nu(v, body):
+                todo.append(ref_substitute(body, v, f))
+    return frozenset(seen)
+
+
+def subformulas(f):
+    """Every node of f, found with an explicit stack."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        match g:
+            case BigAnd(args) | BigOr(args) | Nabla(args):
+                stack.extend(args)
+            case Box(arg) | Dia(arg) | Mu(_, arg) | Nu(_, arg):
+                stack.append(arg)
+    return seen
 
 
 # ------------------------------------------------------------ parsing
@@ -182,6 +266,12 @@ def test_print_parse_round_trip_random():
         g = parse_formula(text, vars={"x", "y"}, keep_sugar=True)
         assert g == f, text
         assert g is f, text
+        assert desugar(f) is ref_desugar(f), text
+        for name in ("x", "y"):
+            assert substitute(f, name, TT) is ref_substitute(f, name, TT), text
+        if isinstance(f, (Mu, Nu)):
+            unfolded = substitute(f.body, f.var, f)
+            assert unfolded is ref_substitute(f.body, f.var, f), text
 
 
 def test_formulas_hash_and_compare_structurally():
@@ -211,6 +301,8 @@ def test_equal_fields_of_different_classes_stay_distinct():
     lambda bad: Box(bad),
     lambda bad: Dia(bad),
     lambda bad: free_vars(bad),
+    lambda bad: desugar(bad),
+    lambda bad: substitute(bad, "x", TT),
 ])
 @pytest.mark.parametrize("bad", ["p", 3, None])
 def test_constructors_reject_non_formula_members(build, bad):
@@ -235,6 +327,18 @@ def test_parse_too_deep_is_a_parse_error():
         parse_formula(text, vars={"x"})
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_system(f"system\ninit: x\nx = {text}\n")
+
+
+def test_parse_system_error_points_into_the_raw_line():
+    with pytest.raises(ParseError) as info:
+        parse_system("system\ninit: x\n  x = or{p, $}\n")
+    assert str(info.value) == "3:13: in equation for 'x': unexpected character '$'"
+    assert (info.value.line, info.value.col) == (3, 13)
+    with pytest.raises(ParseError) as info:
+        parse_system(f"system\ninit: x\nx = {nested_text(400)}\n")
+    col = info.value.col
+    assert col > len("x = ")
+    assert str(info.value) == f"3:{col}: in equation for 'x': formula nested too deeply"
 
 
 # ----------------------------------------------------------- substitution
@@ -270,6 +374,25 @@ def test_systems_nested_ten_thousand_deep_from_constructors():
     ann = conservative(eqf.system, frame)
     for s in ("a", "b"):
         assert {(body, Ordinal.natural(0)), (var("x"), Ordinal.natural(1))} <= ann.at(s)
+
+
+def deep_closed_mu(depth):
+    f = cover(var("z"))
+    for _ in range(depth):
+        f = disj(prop("q"), box(f))
+    return mu("z", f)
+
+
+def test_walks_on_a_closed_mu_ten_thousand_deep():
+    phi = deep_closed_mu(10_000)
+    plain = desugar(phi)
+    assert not any(isinstance(g, (Box, Dia)) for g in subformulas(plain))
+    assert desugar(plain) is plain
+    assert is_closed(substitute(phi.body, "z", TT))
+    system = EquationSystem([("x", disj(cover(var("x")), phi))])
+    # The body, nab{x}, x, phi, and the unfolding: 10^4 or and box
+    # levels, q and nab{phi}.
+    assert len(closure(system)) == size(system) == 2 * 10_000 + 6
 
 
 # ------------------------------------------------------- equation systems
@@ -371,6 +494,11 @@ def test_closure_unfolds_closed_quantifier_once():
     got = {format_formula(f) for f in closure(eqf.system)}
     assert "nu y. dia y" in got
     assert "dia (nu y. dia y)" in got
+
+
+def test_closure_matches_worklist_reference_on_corpus():
+    for name, eqf in full_corpus():
+        assert closure(eqf.system) == ref_closure(eqf.system), name
 
 
 def test_closure_decomposes_sugar():

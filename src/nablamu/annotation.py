@@ -29,8 +29,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from .ordinal import Ordinal, ZERO, OrdinalParseError
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
-                     ParseError, UnboundVariable, Var, closure, format_formula,
-                     free_vars, is_closed, parse_formula, sort_key)
+                     NegatedVariable, ParseError, UnboundVariable, Var, closure,
+                     format_formula, free_vars, is_closed, parse_formula, sort_key)
 from .frame import Frame, TreeFrame, UnknownState
 from .semantics import first_stages, frame_index
 
@@ -651,6 +651,9 @@ def parse_annotation(
     frame: Frame,
     variables: Sequence[str] = (),
 ) -> Annotation:
+    """Parse the textual format above over ``frame``; identifiers in
+    ``variables`` are variables.  Raises AnnotationParseError on
+    malformed text."""
     entries: Dict[str, List[AnnEntry]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -673,7 +676,7 @@ def parse_annotation(
             try:
                 f = parse_formula(ftext.strip(), vars=variables, keep_sugar=True)
                 a = Ordinal.parse(otext.strip())
-            except (ParseError, OrdinalParseError) as exc:
+            except (ParseError, NegatedVariable, OrdinalParseError) as exc:
                 raise AnnotationParseError(f"line {lineno}: {exc}") from exc
             bucket.append((f, a))
     try:
@@ -717,7 +720,8 @@ def annotation_from_json(
                  Ordinal.parse(e["ordinal"]))
                 for e in pairs
             ]
-    except (AttributeError, KeyError, TypeError, ParseError, OrdinalParseError) as exc:
+    except (AttributeError, KeyError, TypeError, ParseError, NegatedVariable,
+            OrdinalParseError) as exc:
         raise AnnotationParseError(f"malformed annotation object: {exc}") from exc
     try:
         return Annotation(frame, entries)

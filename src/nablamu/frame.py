@@ -446,6 +446,8 @@ def enumerate_frames(
 
 
 def parse_frame(text: str):
+    """Parse the textual format above.  Raises FrameParseError on
+    malformed text."""
     states: List[str] = []
     edges: List[Tuple[str, str]] = []
     labels: Dict[str, List[str]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from functools import total_ordering
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 __all__ = [
     "Ordinal",
@@ -210,7 +210,8 @@ class Ordinal:
     @classmethod
     def parse(cls, text: str) -> "Ordinal":
         """Parse a canonical literal: terms ``w^E.C``/``w.C``/``w``/naturals
-        joined by ``+`` with strictly decreasing exponents; ``0`` alone."""
+        joined by ``+`` with strictly decreasing exponents; ``0`` alone.
+        Raises OrdinalParseError on any other text."""
         s = text.strip()
         if not s:
             raise OrdinalParseError("empty ordinal literal")
@@ -228,9 +229,19 @@ class Ordinal:
             raise OrdinalParseError(f"{text!r}: {exc}") from None
 
 
+def _natural(text: str, whole: str) -> Optional[int]:
+    """The value of a run of ASCII digits, or None for other text."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise OrdinalParseError(f"number too long in {whole!r}") from None
+
+
 def _parse_term(part: str, whole: str) -> Tuple[int, int]:
-    if part.isdigit():
-        n = int(part)
+    n = _natural(part, whole)
+    if n is not None:
         if n == 0:
             raise OrdinalParseError(f"zero term inside sum in {whole!r}")
         return (0, n)
@@ -241,15 +252,14 @@ def _parse_term(part: str, whole: str) -> Tuple[int, int]:
     if rest.startswith("^"):
         rest = rest[1:]
         dot = rest.find(".")
-        digits = rest if dot < 0 else rest[:dot]
-        if not digits.isdigit():
+        exponent = _natural(rest if dot < 0 else rest[:dot], whole)
+        if exponent is None:
             raise OrdinalParseError(f"bad exponent in term {part!r} of {whole!r}")
-        exponent = int(digits)
         rest = "" if dot < 0 else rest[dot:]
     if not rest:
         return (exponent, 1)
-    if rest.startswith(".") and rest[1:].isdigit():
-        coeff = int(rest[1:])
+    coeff = _natural(rest[1:], whole) if rest.startswith(".") else None
+    if coeff is not None:
         if coeff == 0:
             raise OrdinalParseError(f"zero coefficient in term {part!r} of {whole!r}")
         return (exponent, coeff)

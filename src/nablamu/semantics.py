@@ -10,15 +10,19 @@ finite frame they stabilise after at most |states| * |variables| steps.
 
 Each system is compiled once, on first use, into a stage program: a
 flat post-order list of mask operations (and, or, nab, box, dia) over
-slots shared by equal subformulas, with every closed subformula as a
-constant leaf.  A stage is one step over that list.  Each
-``FrameIndex`` runs the program of a system once and keeps the run: the
-constant-leaf masks, the stages, the first-stage table (for every slot
-and stage, the states that first enter it there) and the memo of
-signature approximants.  ``iterate_stages``, ``least_stable_stage``,
-``approx``, ``sig_approx`` and ``first_stages`` all read that run.
-``FrameIndex.eval`` is the recursive evaluator for arbitrary formulas;
-both paths share the modal steps ``FrameIndex.nab``/``box``/``dia``.
+slots shared by equal subformulas.  Its leaves are the propositions,
+their negations and the closed mu/nu subformulas; every other
+subformula, closed or not, is an operation.  Each ``FrameIndex`` runs
+the program of a system once, semi-naively, and keeps the run: stage 0
+is one step over every operation, and each later stage recomputes only
+the operations that read a slot which changed, at the states that can
+change.  The run keeps the stages and, per stage, the states that
+first enter each slot there; the first-stage table is read off those
+deltas.  ``iterate_stages``, ``least_stable_stage``, ``approx``,
+``sig_approx`` and ``first_stages`` all read that run.
+``FrameIndex.eval`` is the recursive reference evaluator for arbitrary
+formulas; both paths share the modal steps ``FrameIndex.nab``/``box``/
+``dia``.
 """
 
 from __future__ import annotations
@@ -54,24 +58,33 @@ class FrameIndex:
     """A frame compiled to bit masks, with a cache for closed formulas
     and one for stage runs, keyed by the stage program object."""
 
-    __slots__ = ("frame", "n", "full", "position", "succ", "prop_mask", "_closed", "_runs")
+    __slots__ = ("frame", "n", "full", "position", "succ", "pred", "prop_mask", "_closed", "_runs")
 
     def __init__(self, frame: Frame) -> None:
-        object.__setattr__(self, "frame", frame)
+        init = object.__setattr__
         n = len(frame.states)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "full", (1 << n) - 1)
+        init(self, "frame", frame)
+        init(self, "n", n)
+        init(self, "full", (1 << n) - 1)
         pos = {s: i for i, s in enumerate(frame.states)}
-        object.__setattr__(self, "position", pos)
+        init(self, "position", pos)
         succ = [0] * n
+        pred = [0] * n
         for a, b in frame.edges:
-            succ[pos[a]] |= 1 << pos[b]
-        object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(
-            self, "prop_mask", {p: self.mask(ms) for p, ms in frame.labels.items()}
-        )
-        object.__setattr__(self, "_closed", {})
-        object.__setattr__(self, "_runs", {})
+            i, j = pos[a], pos[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        init(self, "succ", tuple(succ))
+        init(self, "pred", tuple(pred))
+        props = {}
+        for p, states in frame.labels.items():
+            m = 0
+            for s in states:
+                m |= 1 << pos[s]
+            props[p] = m
+        init(self, "prop_mask", props)
+        init(self, "_closed", {})
+        init(self, "_runs", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FrameIndex objects are immutable")
@@ -139,45 +152,56 @@ class FrameIndex:
                 cur = nxt
         raise TypeError(f"cannot evaluate {type(f).__name__}")
 
-    # The modal steps, shared by ``eval`` and the stage program.
+    # The modal steps, shared by ``eval`` and the stage program.  ``box``
+    # and ``nab`` test only the states of the candidate mask ``at``.
 
-    def nab(self, members: Sequence[int]) -> int:
-        """States where some successor lies in every member, or every
-        successor lies in one single member (``nab{}``: has a successor)."""
+    def _at(self, at: Optional[int]) -> Iterable[Tuple[int, int]]:
+        """(position, successor mask) of each state in ``at``; all if None."""
+        if at is None:
+            return enumerate(self.succ)
+        succ = self.succ
+        out = []
+        while at:
+            low = at & -at
+            i = low.bit_length() - 1
+            out.append((i, succ[i]))
+            at ^= low
+        return out
+
+    def nab(self, members: Sequence[int], at: Optional[int] = None) -> int:
+        """States in ``at`` where some successor lies in every member, or
+        every successor lies in one single member (``nab{}``: has a
+        successor)."""
         inter = self.full
         for m in members:
             inter &= m
         out = 0
-        bit = 1
-        for sm in self.succ:
+        for i, sm in self._at(at):
             if sm & inter:
-                out |= bit
+                out |= 1 << i
             else:
                 for m in members:
                     if not sm & ~m:
-                        out |= bit
+                        out |= 1 << i
                         break
-            bit <<= 1
         return out
 
-    def box(self, m: int) -> int:
-        """States all of whose successors lie in m."""
+    def box(self, m: int, at: Optional[int] = None) -> int:
+        """States in ``at`` all of whose successors lie in m."""
         out = 0
-        bit = 1
-        for sm in self.succ:
+        for i, sm in self._at(at):
             if not sm & ~m:
-                out |= bit
-            bit <<= 1
+                out |= 1 << i
         return out
 
     def dia(self, m: int) -> int:
-        """States with a successor in m."""
+        """States with a successor in m: the predecessors of m's states."""
+        pred = self.pred
         out = 0
-        bit = 1
-        for sm in self.succ:
-            if sm & m:
-                out |= bit
-            bit <<= 1
+        while m:
+            low = m & -m
+            out |= pred[low.bit_length() - 1]
+            m ^= low
         return out
 
 
@@ -196,28 +220,32 @@ _AND, _OR, _NAB, _BOX, _DIA = range(5)
 class _StageProgram:
     """An equation system compiled to a flat list of mask operations.
 
-    Slot i < |vars| holds variable i, the next slots hold the closed
-    subformulas of the bodies (the constant leaves, closed mu/nu
-    included), and each operation appends one slot, in post-order, so
-    that an operation only reads earlier slots.  Equal subformulas
-    share one slot; ``slot`` maps each formula to its slot.
-    ``roots[i]`` is the slot of the body of variable i.
+    Slot i < |vars| holds variable i and the next slots hold the
+    leaves: the propositions, their negations and the closed mu/nu
+    subformulas of the bodies.  Every other subformula, closed or not,
+    is an operation that appends one slot, in post-order, so that it
+    reads only earlier slots.  Equal subformulas share one slot;
+    ``slot`` maps each formula to its slot.  ``roots[i]`` is the slot of
+    the body of variable i, and ``users[k]`` is the bit mask of the
+    operation slots that read slot k.
     """
 
-    __slots__ = ("consts", "ops", "roots", "slot")
+    __slots__ = ("leaves", "ops", "roots", "slot", "users")
 
     def __init__(self, system: EquationSystem) -> None:
         names = system.vars
         slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(names)}
-        consts: List[Formula] = []
-        opened: List[Formula] = []
-        for f in _postorder([system.eq(x) for x in names], lambda f: _children(f) if f.fv else ()):
+        leaves: List[Formula] = []
+        operations: List[Formula] = []
+        bodies = [system.eq(x) for x in names]
+        for f in _postorder(bodies, lambda f: () if isinstance(f, (Mu, Nu)) else _children(f)):
             if f not in slot:
-                (opened if f.fv else consts).append(f)
-        for f in consts + opened:
+                (leaves if isinstance(f, (Prop, NegProp, Mu, Nu)) else operations).append(f)
+        for f in leaves + operations:
             slot[f] = len(slot)
         ops = []
-        for f in opened:
+        users = [0] * len(slot)
+        for f in operations:
             if isinstance(f, Box):
                 ops.append((_BOX, slot[f.arg]))
             elif isinstance(f, Dia):
@@ -225,10 +253,13 @@ class _StageProgram:
             else:
                 code = _AND if isinstance(f, BigAnd) else _OR if isinstance(f, BigOr) else _NAB
                 ops.append((code, tuple(slot[a] for a in f.args)))
-        self.consts = tuple(consts)
+            for a in _children(f):
+                users[slot[a]] |= 1 << slot[f]
+        self.leaves = tuple(leaves)
         self.ops = tuple(ops)
-        self.roots = tuple(slot[system.eq(x)] for x in names)
+        self.roots = tuple(slot[f] for f in bodies)
         self.slot = slot
+        self.users = tuple(users)
 
 
 def _program(system: EquationSystem) -> _StageProgram:
@@ -242,9 +273,9 @@ def _program(system: EquationSystem) -> _StageProgram:
 
 def _step(ops, vals: List[int], full: int, nab, box, dia) -> List[int]:
     """One stage step: append every operation's mask to ``vals``, which
-    holds the variable masks and then the constant-leaf masks.  The
-    index's full mask and modal steps come as arguments, looked up once
-    by callers that step many times."""
+    holds the variable masks and then the leaf masks.  The index's full
+    mask and modal steps come as arguments, looked up once by callers
+    that step many times."""
     push = vals.append
     for code, arg in ops:
         if code == _NAB:
@@ -266,44 +297,105 @@ def _step(ops, vals: List[int], full: int, nab, box, dia) -> List[int]:
     return vals
 
 
-def _stage_masks(prog: _StageProgram, index: FrameIndex,
-                 consts: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """The approximation stages as mask tuples in variable order."""
-    roots = prog.roots
-    cur = (0,) * len(roots)
-    stages = [cur]
-    bound = index.n * len(roots) + 2
-    ops, full, nab, box, dia = prog.ops, index.full, index.nab, index.box, index.dia
-    while True:
-        vals = _step(ops, [*cur, *consts], full, nab, box, dia)
-        nxt = tuple([vals[r] for r in roots])
-        if nxt == cur:
-            return stages
-        stages.append(nxt)
-        cur = nxt
-        if len(stages) > bound:
-            raise AssertionError("approximation failed to stabilise within bound")
-
-
 class _Run:
     """The stage program of one system run on one ``FrameIndex``.
 
-    ``consts`` are the constant-leaf masks and ``stages`` the stage mask
-    tuples.  ``first`` is the first-stage table, filled on first use.
-    ``sig`` maps signatures to variable masks and ``bodies`` maps
-    variable masks to the body masks one step yields; both fill as
+    ``leaves`` are the leaf masks and ``stages`` the stage mask tuples.
+    ``deltas[0]`` holds the slot masks at stage 0, and ``deltas[a]`` for
+    a > 0 maps each slot that gains states at stage a to the states it
+    gains.  ``first`` is the first-stage table, read off ``deltas`` on
+    first use.  ``sig`` maps signatures to variable masks and ``bodies``
+    maps variable masks to the body masks one step yields; both fill as
     ``sig_approx`` asks.
     """
 
-    __slots__ = ("prog", "consts", "stages", "first", "sig", "bodies")
+    __slots__ = ("prog", "leaves", "stages", "deltas", "first", "sig", "bodies")
 
     def __init__(self, prog: _StageProgram, index: FrameIndex) -> None:
         self.prog = prog
-        self.consts = tuple([index.eval(f) for f in prog.consts])
-        self.stages = _stage_masks(prog, index, self.consts)
+        props = index.prop_mask
+        leaves = []
+        for f in prog.leaves:
+            if isinstance(f, Prop):
+                leaves.append(props.get(f.name, 0))
+            elif isinstance(f, NegProp):
+                leaves.append(index.full & ~props.get(f.name, 0))
+            else:
+                leaves.append(index.eval(f))
+        self.leaves = tuple(leaves)
+        self.stages, self.deltas = _stages(prog, index, self.leaves)
         self.first: Optional[Dict[Formula, Tuple[Tuple[int, int], ...]]] = None
         self.sig: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.bodies: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+
+def _stages(prog: _StageProgram, index: FrameIndex, leaves: Tuple[int, ...]
+            ) -> Tuple[List[Tuple[int, ...]], List]:
+    """The stages as mask tuples in variable order, and the deltas: the
+    slot masks at stage 0, then per stage the states that first enter
+    each slot there.
+
+    Bodies are monotone, so slot values only grow from one stage to the
+    next, and a state can enter a modal slot at a stage only if one of
+    its successors entered an argument of the slot at that stage.  So
+    each stage after 0 starts from the variables' deltas and visits only
+    the operations that read a changed slot, lowest slot first (the
+    users of a slot come after it): ``and``/``or`` are recomputed,
+    ``dia`` adds the predecessors of its argument's delta, and ``box``/
+    ``nab`` test the predecessors of their arguments' deltas that are
+    not in the slot yet.
+    """
+    roots, ops, users = prog.roots, prog.ops, prog.users
+    base = len(roots) + len(leaves)
+    full, nab, box, dia = index.full, index.nab, index.box, index.dia
+    cur = (0,) * len(roots)
+    vals = _step(ops, [*cur, *leaves], full, nab, box, dia)
+    stages = [cur]
+    deltas: List = [tuple(vals)]  # a tuple, cheaper than a dict per run
+    bound = index.n * len(roots) + 2
+    while True:
+        nxt = tuple([vals[r] for r in roots])
+        if nxt == cur:
+            return stages, deltas
+        stages.append(nxt)
+        if len(stages) > bound:
+            raise AssertionError("approximation failed to stabilise within bound")
+        delta: Dict[int, int] = {}
+        dirty = 0
+        for i, v in enumerate(nxt):
+            if v != cur[i]:
+                delta[i] = v & ~cur[i]
+                vals[i] = v
+                dirty |= users[i]
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            k = low.bit_length() - 1
+            code, arg = ops[k - base]
+            old = vals[k]
+            if code == _OR:
+                v = 0
+                for a in arg:
+                    v |= vals[a]
+            elif code == _AND:
+                v = full
+                for a in arg:
+                    v &= vals[a]
+            elif code == _DIA:
+                v = old | dia(delta[arg])
+            elif code == _BOX:
+                v = old | box(vals[arg], dia(delta[arg]) & ~old)
+            else:
+                moved = 0
+                for a in arg:
+                    moved |= delta.get(a, 0)
+                v = old | nab([vals[a] for a in arg], dia(moved) & ~old)
+            if v != old:
+                delta[k] = v & ~old
+                vals[k] = v
+                dirty |= users[k]
+        deltas.append(delta)
+        cur = nxt
 
 
 def _run(system: EquationSystem, index: FrameIndex) -> _Run:
@@ -351,24 +443,16 @@ def first_stages(
     pairs (a, m) in stage order where m is the nonempty mask of the
     states at which the formula first holds at stage a.
 
-    Formulas without a slot (those inside constant leaves) are closed,
-    so they hold from stage 0 wherever ``index.eval`` holds.
+    Formulas without a slot (those inside closed mu/nu leaves) are
+    closed, so they hold from stage 0 wherever ``index.eval`` holds.
     """
     run = _run(system, index)
     if run.first is None:
-        prog, consts = run.prog, run.consts
-        ops, full, nab, box, dia = prog.ops, index.full, index.nab, index.box, index.dia
-        seen = [0] * len(prog.slot)
-        table: List[List[Tuple[int, int]]] = [[] for _ in seen]
-        for a, cur in enumerate(run.stages):
-            vals = _step(ops, [*cur, *consts], full, nab, box, dia)
-            for k, v in enumerate(vals):
-                new = v & ~seen[k]
-                if new:
-                    table[k].append((a, new))
-                    # slot values grow with the stages, as the bodies do
-                    seen[k] = v
-        run.first = {f: tuple(table[k]) for f, k in prog.slot.items()}
+        table = {k: [(0, v)] for k, v in enumerate(run.deltas[0]) if v}
+        for a in range(1, len(run.deltas)):
+            for k, new in run.deltas[a].items():
+                table.setdefault(k, []).append((a, new))
+        run.first = {f: tuple(table.get(k, ())) for f, k in run.prog.slot.items()}
     return dict(run.first)
 
 
@@ -502,7 +586,7 @@ def _sig_valuation(run: _Run, index: FrameIndex, sig: Tuple[int, ...]) -> Tuple[
     are kept on the run, and one step per distinct valuation gives all
     body masks.
     """
-    known, bodies, prog, consts = run.sig, run.bodies, run.prog, run.consts
+    known, bodies, prog, leaves = run.sig, run.bodies, run.prog, run.leaves
     got = known.get(sig)
     if got is not None:
         return got
@@ -518,7 +602,7 @@ def _sig_valuation(run: _Run, index: FrameIndex, sig: Tuple[int, ...]) -> Tuple[
             low = known[t[:i] + (e - 1,) + t[i + 1:]]
             roots = bodies.get(low)
             if roots is None:
-                step = _step(ops, [*low, *consts], full, nab, box, dia)
+                step = _step(ops, [*low, *leaves], full, nab, box, dia)
                 roots = bodies[low] = tuple([step[r] for r in prog.roots])
             vals.append(roots[i])
         known[t] = tuple(vals)

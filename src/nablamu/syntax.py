@@ -37,7 +37,7 @@ guardedness per path.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "Formula", "Prop", "NegProp", "Var", "BigAnd", "BigOr", "Nabla",
@@ -61,6 +61,9 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.col = col
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
 
 
 class UnboundVariable(ValueError):
@@ -552,8 +555,9 @@ def parse_formula(text: str, vars: Iterable[str] = (), keep_sugar: bool = False)
     """Parse one formula.  Identifiers in ``vars`` (or bound by an
     enclosing mu/nu) become Var nodes; every other identifier is a
     proposition.  box/dia are desugared unless keep_sugar is set.
-    Nesting deeper than the interpreter's recursion limit allows is a
-    ParseError."""
+    Raises ParseError on text outside the grammar, nesting deeper than
+    the interpreter's recursion limit allows included, and
+    NegatedVariable on a negated variable."""
     parser = _Parser(_tokenize(text), frozenset(vars))
     try:
         f = parser.formula(frozenset())
@@ -756,7 +760,10 @@ def _first_nonconjunctive(sys: EquationSystem) -> Optional[Formula]:
 
 def parse_system(text: str) -> EquationalFormula:
     """Parse the .mes format: header line ``system``, one ``init: x``
-    line, and ``x = formula`` equation lines; ``#`` starts a comment."""
+    line, and ``x = formula`` equation lines; ``#`` starts a comment.
+    Raises ParseError on text outside the format (a second equation for
+    a variable included), NegatedVariable, and UnboundVariable,
+    UnguardedVariable or OpenQuantifier on an invalid system."""
     lines: List[Tuple[int, int, str]] = []
     for idx, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -770,6 +777,7 @@ def parse_system(text: str) -> EquationalFormula:
         raise ParseError(f"expected header 'system', found {header!r}", header_no, 1)
     init: Optional[str] = None
     eq_lines: List[Tuple[int, int, str, str]] = []
+    varset: Set[str] = set()
     for no, lead, line in lines[1:]:
         if line.startswith("init:"):
             if init is not None:
@@ -784,9 +792,11 @@ def parse_system(text: str) -> EquationalFormula:
         name = name.strip()
         if not _IDENT.fullmatch(name) or name in KEYWORDS:
             raise ParseError(f"bad variable name {name!r}", no, 1)
+        if name in varset:
+            raise ParseError(f"duplicate equation for {name!r}", no, 1)
+        varset.add(name)
         rhs = rhs.lstrip()
         eq_lines.append((no, lead + len(line) - len(rhs), name, rhs))
-    varset = frozenset(name for _, _, name, _ in eq_lines)
     equations: List[Tuple[str, Formula]] = []
     for no, offset, name, rhs in eq_lines:
         try:

@@ -6,6 +6,7 @@ import pytest
 
 from nablamu import (
     OMEGA,
+    Frame,
     FrameIndex,
     NegProp,
     Ordinal,
@@ -32,6 +33,7 @@ from nablamu import (
     var,
 )
 from nablamu.semantics import first_stages, least_stable_stage
+from nablamu.syntax import Mu, Nu, Var, _children, _postorder
 
 from conftest import full_corpus, random_instance, two_variable_corpus
 
@@ -193,6 +195,113 @@ def test_stage_program_matches_recursive_evaluation():
         for fr in frames:
             got = iterate_stages(system, FrameIndex(fr))
             assert got == _jacobi_stages(system, FrameIndex(fr)), (name, fr)
+
+
+def _slot_formulas(system):
+    """The variables and every subformula of the bodies outside closed
+    mu/nu subformulas: the formulas the stage program gives a slot."""
+    bodies = [system.eq(x) for x in system.vars]
+    walk = _postorder(bodies, lambda f: () if isinstance(f, (Mu, Nu)) else _children(f))
+    return {Var(x) for x in system.vars} | set(walk)
+
+
+def _first_stage_definition(system, index):
+    """For each slot formula, the pairs (a, m) where m holds the states
+    at which ``index.eval`` first holds the formula at stage a."""
+    stages = _jacobi_stages(system, index)
+    table = {}
+    for f in _slot_formulas(system):
+        seen, pairs = 0, []
+        for a, env in enumerate(stages):
+            new = index.eval(f, env) & ~seen
+            if new:
+                pairs.append((a, new))
+                seen |= new
+        table[f] = tuple(pairs)
+    return table
+
+
+def _scale_cases():
+    """The deep towers and the two-variable systems on 32/64/96-state
+    random frames of expected out-degree 2.5."""
+    for n, k in ((1, 300), (2, 24), (3, 7), (4, 4)):
+        yield f"czarnecki({n},{k})", to_equational(czarnecki_formula(n)), czarnecki(n, k)
+    rng = Random(9)
+    for name, eqf in two_variable_corpus():
+        for size in (32, 64, 96):
+            yield (f"{name}@{size}", eqf,
+                   random_frame(size, edge_prob=2.5 / size, props=("p", "q"),
+                                seed=rng.randrange(1 << 30)))
+
+
+def test_stage_run_matches_recursive_evaluation_at_scale():
+    # Frames where many states enter over many stages, so that the
+    # semi-naive run differs from a full step per stage.
+    for label, eqf, fr in _scale_cases():
+        system = eqf.system
+        assert iterate_stages(system, FrameIndex(fr)) == \
+            _jacobi_stages(system, FrameIndex(fr)), label
+        if label.startswith("czarnecki(1,"):
+            assert len(iterate_stages(system, FrameIndex(fr))) == 302
+
+
+def test_first_stage_table_matches_definition():
+    for label, eqf, fr in _scale_cases():
+        want = _first_stage_definition(eqf.system, FrameIndex(fr))
+        assert first_stages(eqf.system, FrameIndex(fr)) == want, label
+    for name, eqf in full_corpus():
+        system = eqf.system
+        props = sorted({f.name for f in closure(system)
+                        if isinstance(f, (Prop, NegProp))})
+        frames = list(enumerate_frames(2, props))
+        rng = Random(name)
+        frames += [random_frame(rng.randint(1, 8),
+                                edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
+                                props=props, seed=rng.randrange(1 << 30))
+                   for _ in range(40)]
+        for fr in frames:
+            want = _first_stage_definition(system, FrameIndex(fr))
+            assert first_stages(system, FrameIndex(fr)) == want, (name, fr)
+
+
+# ------------------------------------------------- the frame index's steps
+
+def _random_index(seed):
+    """The generator and index of a seeded frame of 1-24 states with
+    self-loops and deadlocks."""
+    rng = Random(seed)
+    n = rng.randint(1, 24)
+    states = [f"s{i}" for i in range(n)]
+    dead = set(rng.sample(states, rng.randint(0, n // 3)))
+    edges = [(a, b) for a in states if a not in dead for b in states
+             if rng.random() < (0.5 if a == b else 2.0 / n)]
+    return rng, FrameIndex(Frame(states, edges))
+
+
+def test_pred_is_the_transpose_of_succ():
+    loops = deadlocks = 0
+    for seed in range(60):
+        _, idx = _random_index(seed)
+        for i in range(idx.n):
+            for j in range(idx.n):
+                assert (idx.succ[i] >> j & 1) == (idx.pred[j] >> i & 1), (seed, i, j)
+            loops += idx.succ[i] >> i & 1
+            deadlocks += not idx.succ[i]
+    assert loops and deadlocks
+
+
+def test_box_and_nab_on_candidates_are_the_full_step_restricted():
+    for seed in range(60):
+        rng, idx = _random_index(seed)
+        for _ in range(10):
+            at = rng.getrandbits(idx.n)
+            m = rng.getrandbits(idx.n)
+            assert idx.box(m, at) == idx.box(m) & at
+            members = [rng.getrandbits(idx.n) for _ in range(rng.randint(0, 3))]
+            assert idx.nab(members, at) == idx.nab(members) & at
+            assert idx.nab([], at) == idx.nab([]) & at
+        assert idx.box(0, idx.full) == idx.box(0)
+        assert idx.nab([], 0) == 0 and idx.box(idx.full, 0) == 0
 
 
 # -------------------------------------------------------- closure ordinals

@@ -7,7 +7,9 @@ stages: closed formulas must hold outright, a variable entry at stage a
 needs its right-hand side strictly below a, a disjunction needs one
 disjunct at or below its stage, a conjunction needs all conjuncts at or
 below its stage, and a cover needs each successor to match the member
-set or some single member to cover all successors.
+set or some single member to cover all successors.  Each clause asks
+only whether a formula is annotated at or (strictly) below a stage, so
+the checker compares against each state's least stage per formula.
 
 The conservative annotation assigns every satisfied closure formula its
 least approximation stage at every state.  It is read off the
@@ -177,18 +179,20 @@ class Violation:
         return f"{self.state}: {self.clause}{subject} -- {self.detail}"
 
 
-def preceq(a: AnnSet, b: AnnSet) -> bool:
-    """Every entry of b is matched in a by the same formula at or below its stage."""
+def _least(ann: AnnSet) -> Dict[Formula, Ordinal]:
+    """Each formula of the set with its least stage there."""
     least: Dict[Formula, Ordinal] = {}
-    for f, x in a:
+    for f, x in ann:
         cur = least.get(f)
         if cur is None or x < cur:
             least[f] = x
-    for f, x in b:
-        cur = least.get(f)
-        if cur is None or not cur <= x:
-            return False
-    return True
+    return least
+
+
+def preceq(a: AnnSet, b: AnnSet) -> bool:
+    """Every entry of b is matched in a by the same formula at or below its stage."""
+    least = _least(a)
+    return all(f in least and least[f] <= x for f, x in b)
 
 
 def preceq_annotation(a: Annotation, b: Annotation) -> bool:
@@ -220,34 +224,36 @@ def check_well_annotation(
     frame = theta.frame
     _closure_or_raise(theta, system)
     index = frame_index(frame)
+    least = {s: _least(theta.at(s)) for s in frame.states}
+
+    def within(r: str, g: Formula, a: Ordinal) -> bool:
+        b = least[r].get(g)
+        return b is not None and b <= a
+
     out: List[Violation] = []
     for s in frame.states:
-        ann = theta.at(s)
         succs = sorted(frame.successors(s))
-        for f, a in sorted(ann, key=_entry_key):
+        for f, a in sorted(theta.at(s), key=_entry_key):
             if is_closed(f):
                 m = index.eval(f)
                 if not m >> index.position[s] & 1:
                     out.append(Violation(s, "D3.1-1", f, a, "closed formula does not hold here"))
             if isinstance(f, Var):
-                body = system.eq(f.name)
-                if not any(g == body and b < a for g, b in ann):
+                b = least[s].get(system.eq(f.name))
+                if b is None or not b < a:
                     out.append(Violation(
                         s, "D3.1-2", f, a,
                         "right-hand side is not annotated strictly below the variable",
                     ))
             elif isinstance(f, BigOr):
-                if not any(
-                    any(g == d and b <= a for g, b in ann) for d in f.args
-                ):
+                if not any(within(s, d, a) for d in f.args):
                     out.append(Violation(
                         s, "D3.1-3", f, a,
                         "no disjunct is annotated at or below the disjunction",
                     ))
             elif isinstance(f, BigAnd):
                 missing = [
-                    d for d in sorted(f.args, key=sort_key)
-                    if not any(g == d and b <= a for g, b in ann)
+                    d for d in sorted(f.args, key=sort_key) if not within(s, d, a)
                 ]
                 if missing:
                     out.append(Violation(
@@ -256,12 +262,8 @@ def check_well_annotation(
                         + ", ".join(format_formula(d) for d in missing),
                     ))
             elif isinstance(f, Nabla):
-                gamma_at = frozenset((g, a) for g in f.args)
-                cover_match = any(preceq(theta.at(r), gamma_at) for r in succs)
-                member_all = any(
-                    all(preceq(theta.at(r), frozenset([(g, a)])) for r in succs)
-                    for g in f.args
-                )
+                cover_match = any(all(within(r, g, a) for g in f.args) for r in succs)
+                member_all = any(all(within(r, g, a) for r in succs) for g in f.args)
                 if not cover_match and not member_all:
                     out.append(Violation(
                         s, "D3.1-5a", f, a,
@@ -274,10 +276,7 @@ def check_well_annotation(
                         " below the stage",
                     ))
             elif isinstance(f, Box):
-                bad = [
-                    r for r in succs
-                    if not preceq(theta.at(r), frozenset([(f.arg, a)]))
-                ]
+                bad = [r for r in succs if not within(r, f.arg, a)]
                 if bad:
                     out.append(Violation(
                         s, "D3.1-box", f, a,
@@ -285,9 +284,7 @@ def check_well_annotation(
                         + ", ".join(bad),
                     ))
             elif isinstance(f, Dia):
-                if not any(
-                    preceq(theta.at(r), frozenset([(f.arg, a)])) for r in succs
-                ):
+                if not any(within(r, f.arg, a) for r in succs):
                     out.append(Violation(
                         s, "D3.1-dia", f, a,
                         "no successor carries the argument at or below the stage",
@@ -434,12 +431,7 @@ def check_relevant(
                 gamma = f.args
                 floor = a.pred()
                 for g in sorted(box_set(gamma, s, theta), key=sort_key):
-                    best: Optional[Ordinal] = None
-                    for r in succs:
-                        for h, b in phi.at(r):
-                            if h == g and (best is None or b > best):
-                                best = b
-                    if best is None or best < a:
+                    if not any(h == g and b >= a for r in succs for h, b in phi.at(r)):
                         out.append(Violation(
                             s, "D3.5-5a", f, a,
                             f"member {format_formula(g)} held by every successor is not"

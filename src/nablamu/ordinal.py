@@ -194,15 +194,7 @@ class Ordinal:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("w" if c == 1 else f"w.{c}")
-            else:
-                parts.append(f"w^{e}" if c == 1 else f"w^{e}.{c}")
-        return "+".join(parts)
+        return "+".join(_term_text(e, c) for e, c in self.terms)
 
     def __repr__(self) -> str:
         return f"Ordinal({self})"
@@ -211,7 +203,8 @@ class Ordinal:
     def parse(cls, text: str) -> "Ordinal":
         """Parse a canonical literal: terms ``w^E.C``/``w.C``/``w``/naturals
         joined by ``+`` with strictly decreasing exponents; ``0`` alone.
-        Raises OrdinalParseError on any other text."""
+        Raises OrdinalParseError on any other text, including a term that
+        does not print back as written (``007``, ``w^1``, ``w^0.3``)."""
         s = text.strip()
         if not s:
             raise OrdinalParseError("empty ordinal literal")
@@ -222,7 +215,10 @@ class Ordinal:
             part = part.strip()
             if not part:
                 raise OrdinalParseError(f"empty term in {text!r}")
-            terms.append(_parse_term(part, text))
+            term = _parse_term(part, text)
+            if _term_text(*term) != part:
+                raise OrdinalParseError(f"non-canonical term {part!r} in {text!r}")
+            terms.append(term)
         try:
             return cls(terms)
         except ValueError as exc:
@@ -237,6 +233,13 @@ def _natural(text: str, whole: str) -> Optional[int]:
         return int(text)
     except ValueError:  # longer than the interpreter converts
         raise OrdinalParseError(f"number too long in {whole!r}") from None
+
+
+def _term_text(e: int, c: int) -> str:
+    if e == 0:
+        return str(c)
+    head = "w" if e == 1 else f"w^{e}"
+    return head if c == 1 else f"{head}.{c}"
 
 
 def _parse_term(part: str, whole: str) -> Tuple[int, int]:

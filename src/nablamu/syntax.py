@@ -772,28 +772,28 @@ def parse_system(text: str) -> EquationalFormula:
             lines.append((idx, len(code) - len(code.lstrip()), body))
     if not lines:
         raise ParseError("empty system file", 1, 1)
-    header_no, _, header = lines[0]
+    header_no, lead, header = lines[0]
     if header != "system":
-        raise ParseError(f"expected header 'system', found {header!r}", header_no, 1)
+        raise ParseError(f"expected header 'system', found {header!r}", header_no, lead + 1)
     init: Optional[str] = None
     eq_lines: List[Tuple[int, int, str, str]] = []
     varset: Set[str] = set()
     for no, lead, line in lines[1:]:
         if line.startswith("init:"):
             if init is not None:
-                raise ParseError("duplicate init line", no, 1)
+                raise ParseError("duplicate init line", no, lead + 1)
             init = line[len("init:"):].strip()
             if not _IDENT.fullmatch(init):
-                raise ParseError(f"bad initial variable {init!r}", no, 1)
+                raise ParseError(f"bad initial variable {init!r}", no, lead + 1)
             continue
         if "=" not in line:
-            raise ParseError(f"expected 'var = formula', found {line!r}", no, 1)
+            raise ParseError(f"expected 'var = formula', found {line!r}", no, lead + 1)
         name, rhs = line.split("=", 1)
         name = name.strip()
         if not _IDENT.fullmatch(name) or name in KEYWORDS:
-            raise ParseError(f"bad variable name {name!r}", no, 1)
+            raise ParseError(f"bad variable name {name!r}", no, lead + 1)
         if name in varset:
-            raise ParseError(f"duplicate equation for {name!r}", no, 1)
+            raise ParseError(f"duplicate equation for {name!r}", no, lead + 1)
         varset.add(name)
         rhs = rhs.lstrip()
         eq_lines.append((no, lead + len(line) - len(rhs), name, rhs))

@@ -32,6 +32,7 @@ from nablamu import (
     eval_formula,
     extract_relevant,
     format_annotation,
+    format_formula,
     iterate_stages,
     parse_annotation,
     parse_formula,
@@ -256,6 +257,59 @@ def test_clause_sugared_box():
     theta = conservative(boxsys.system, CHAIN)
     ann = theta.with_entry("s0", boxx, 0)
     assert ("s0", "D3.1-box") in check(ann, boxsys.system)
+
+
+def test_checker_full_output_pinned():
+    # Every clause fails at least once; several states carry a formula
+    # at two stages, one at or below the stage asked for and one above
+    # (y and x at b, p at c, the disjunction at a), so only the least
+    # stage may decide a clause.
+    system = parse_system(
+        "system\ninit: x\nx = or{p, and{q, nab{x, p}}, box y}\n"
+        "y = and{dia x, q}\n").system
+    frame = parse_frame(
+        "states: a b c\nedges: a->b a->c b->c\nlabels: p: c ; q: b\n")
+
+    def f(text):
+        return parse_formula(text, vars={"x", "y"}, keep_sugar=True)
+
+    body = "or{p, and{q, nab{x, p}}, box y}"
+    ann = Annotation(frame, {
+        "a": [(f("x"), 3), (f(body), 3), (f(body), 1), (f("box y"), 2),
+              (f("dia x"), 2), (f("and{dia x, q}"), 2), (f("p"), 0),
+              (f("nab{x, p}"), 1), (f("y"), 4), (f("q"), 5)],
+        "b": [(f("y"), 1), (f("y"), 4), (f("x"), 1), (f("x"), 6),
+              (f("q"), 0), (f("and{dia x, q}"), 0), (f("dia x"), 0),
+              (f("nab{x, p}"), 2), (f("p"), 2), (f(body), 0)],
+        "c": [(f("y"), 3), (f("x"), 5), (f("p"), 0), (f("p"), 4),
+              (f("dia x"), 1), (f("box y"), 0)],
+    })
+    got = [(v.state, v.clause, format_formula(v.formula), str(v.ordinal),
+            v.detail) for v in check_well_annotation(ann, system)]
+    assert got == [
+        ("a", "D3.1-4", "and{dia x, q}", "2",
+         "conjuncts not annotated at or below the conjunction: q"),
+        ("a", "D3.1-box", "box y", "2",
+         "successors missing the argument at or below the stage: c"),
+        ("a", "D3.1-5a", "nab{p, x}", "1",
+         "no successor carries the whole member set at or below the stage"),
+        ("a", "D3.1-5b", "nab{p, x}", "1",
+         "no single member is carried by every successor at or below the"
+         " stage"),
+        ("a", "D3.1-1", "p", "0", "closed formula does not hold here"),
+        ("a", "D3.1-1", "q", "5", "closed formula does not hold here"),
+        ("b", "D3.1-dia", "dia x", "0",
+         "no successor carries the argument at or below the stage"),
+        ("b", "D3.1-3", "or{and{nab{p, x}, q}, box y, p}", "0",
+         "no disjunct is annotated at or below the disjunction"),
+        ("b", "D3.1-1", "p", "2", "closed formula does not hold here"),
+        ("c", "D3.1-dia", "dia x", "1",
+         "no successor carries the argument at or below the stage"),
+        ("c", "D3.1-2", "x", "5",
+         "right-hand side is not annotated strictly below the variable"),
+        ("c", "D3.1-2", "y", "3",
+         "right-hand side is not annotated strictly below the variable"),
+    ]
 
 
 def test_checker_rejects_foreign_formulas():

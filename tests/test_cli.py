@@ -11,6 +11,9 @@ import pytest
 
 from nablamu.cli import main
 
+# Child interpreters find the package in the source tree, installed or not.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 SYSTEM_SRC = "system\ninit: x\nx = or{p, dia x}\n"
 NABLA_SRC = "system\ninit: x\nx = or{p, nab{x}}\n"
 SPINE_SRC = "system\ninit: x\nx = nab{x}\n"
@@ -111,7 +114,8 @@ def test_too_deep_formula_exits_2_without_traceback():
     text = "or{q, " * 400 + "nab{x}" + "}" * 400
     proc = subprocess.run(
         [sys.executable, "-m", "nablamu", "parse", "--formula", text],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 2
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -440,6 +444,7 @@ def test_module_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "nablamu", "co", "--system", files["sys"],
          "--frame", files["frame"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0
     assert proc.stdout == "3\n"

@@ -173,7 +173,9 @@ def test_parse_round_trip_exhaustive():
         assert Ordinal.parse(str(a)) == a
 
 
-@pytest.mark.parametrize("bad", ["", "w+", "x", "w^", "-1", "w.0", "1+w+"])
+@pytest.mark.parametrize("bad", ["", "w+", "x", "w^", "-1", "w.0", "1+w+",
+                                 "007", "w^1", "w.1", "w^0.3", "w^01.02",
+                                 "w^1.2"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(OrdinalParseError):
         Ordinal.parse(bad)

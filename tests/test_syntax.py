@@ -339,6 +339,13 @@ def test_parse_system_error_points_into_the_raw_line():
     col = info.value.col
     assert col > len("x = ")
     assert str(info.value) == f"3:{col}: in equation for 'x': formula nested too deeply"
+    # Line-level errors point at the line's first non-blank character.
+    with pytest.raises(ParseError) as info:
+        parse_system("system\ninit: x\nx = p\n  x = p\n")
+    assert str(info.value) == "4:3: duplicate equation for 'x'"
+    with pytest.raises(ParseError) as info:
+        parse_system("system\ninit: x\n\tinit: x\nx = p\n")
+    assert str(info.value) == "3:2: duplicate init line"
 
 
 # ----------------------------------------------------------- substitution

@@ -14,13 +14,16 @@ the checker compares against each state's least stage per formula.
 The conservative annotation assigns every satisfied closure formula its
 least approximation stage at every state.  It is read off the
 first-stage table of the system's cached stage run on the frame
-(``semantics.first_stages``), so ``conservative`` and
-``verify_conservative`` share one run of the stages.  From a
-conservative annotation over a tree, ``extract_relevant`` carves out a
-relevant part: a sub-annotation recording one reason per state for the
-designated variable to hold at the root, duplicating successors where
-one copy cannot serve two reasons at once.  It walks the tree with an
-explicit stack, so tree depth is not bounded by the recursion limit.
+(``semantics.first_stages``), in which every closure formula has a
+slot, so ``conservative`` and ``verify_conservative`` share one run of
+the stages.  The checker reads a closed formula's truth from the same
+table, as its stage-0 mask; this module evaluates no formula itself.
+From a conservative annotation over a tree, ``extract_relevant`` carves
+out a relevant part: a sub-annotation recording one reason per state
+for the designated variable to hold at the root, duplicating successors
+where one copy cannot serve two reasons at once.  It walks the tree
+with an explicit stack, so tree depth is not bounded by the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -121,21 +124,9 @@ class Annotation:
         for s in self.frame.states:
             yield s, self.at(s)
 
-    def is_empty(self) -> bool:
-        return not self._entries
-
     def with_entry(self, state: str, f: Formula, a: Union[int, Ordinal]) -> "Annotation":
         new = {s: set(ann) for s, ann in self._entries.items()}
         new.setdefault(state, set()).add(_coerce_entry((f, a)))
-        return Annotation(self.frame, new)
-
-    def without_entry(self, state: str, f: Formula, a: Optional[Union[int, Ordinal]] = None) -> "Annotation":
-        new = {s: set(ann) for s, ann in self._entries.items()}
-        ann = new.get(state, set())
-        if a is None:
-            ann -= {e for e in ann if e[0] == f}
-        else:
-            ann.discard(_coerce_entry((f, a)))
         return Annotation(self.frame, new)
 
     def bumped(self, delta: Union[int, Ordinal]) -> "Annotation":
@@ -224,6 +215,7 @@ def check_well_annotation(
     frame = theta.frame
     _closure_or_raise(theta, system)
     index = frame_index(frame)
+    table = first_stages(system, index)
     least = {s: _least(theta.at(s)) for s in frame.states}
 
     def within(r: str, g: Formula, a: Ordinal) -> bool:
@@ -235,8 +227,8 @@ def check_well_annotation(
         succs = sorted(frame.successors(s))
         for f, a in sorted(theta.at(s), key=_entry_key):
             if is_closed(f):
-                m = index.eval(f)
-                if not m >> index.position[s] & 1:
+                held = dict(table[f]).get(0, 0)
+                if not held >> index.position[s] & 1:
                     out.append(Violation(s, "D3.1-1", f, a, "closed formula does not hold here"))
             if isinstance(f, Var):
                 b = least[s].get(system.eq(f.name))
@@ -296,8 +288,7 @@ def conservative(system: EquationSystem, frame: Frame) -> Annotation:
     """Annotate every satisfied closure formula with its least stage.
 
     The stages are read off the first-stage table of the system's stage
-    run on the frame; a closure formula without a slot there is closed
-    and holds from stage 0.
+    run on the frame, where every closure formula has a slot.
     """
     index = frame_index(frame)
     table = first_stages(system, index)
@@ -305,10 +296,7 @@ def conservative(system: EquationSystem, frame: Frame) -> Annotation:
     entries: Dict[str, Set[AnnEntry]] = {s: set() for s in states}
     stage: Dict[int, Ordinal] = {}
     for f in closure(system):
-        firsts = table.get(f)
-        if firsts is None:
-            firsts = ((0, index.eval(f)),)
-        for a, new in firsts:
+        for a, new in table[f]:
             alpha = stage.get(a)
             if alpha is None:
                 alpha = stage[a] = Ordinal.natural(a)

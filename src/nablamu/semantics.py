@@ -8,33 +8,33 @@ evaluates each right-hand side under stage a.  Bodies are monotone
 (negation occurs only on propositions), so the stages grow, and on a
 finite frame they stabilise after at most |states| * |variables| steps.
 
-Each system is compiled once, on first use, into a stage program: a
-flat post-order list of mask operations (and, or, nab, box, dia) over
-slots shared by equal subformulas.  Its leaves are the propositions,
-their negations and the closed mu/nu subformulas; every other
-subformula, closed or not, is an operation.  Each ``FrameIndex`` runs
-the program of a system once, semi-naively, and keeps the run: stage 0
-is one step over every operation, and each later stage recomputes only
-the operations that read a slot which changed, at the states that can
-change.  The run keeps the stages and, per stage, the states that
-first enter each slot there; the first-stage table is read off those
-deltas.  ``iterate_stages``, ``least_stable_stage``, ``approx``,
-``sig_approx`` and ``first_stages`` all read that run.
-``FrameIndex.eval`` is the recursive reference evaluator for arbitrary
-formulas; both paths share the modal steps ``FrameIndex.nab``/``box``/
-``dia``.
+There is one evaluator, the stage program: a flat post-order list of
+mask operations (and, or, nab, box, dia) over slots shared by equal
+subformulas, compiled once per system or formula and kept on it.  Its
+leaves are the propositions, their negations and the mu/nu
+subformulas; every other subformula, closed or not, is an operation,
+and in a system's program every closure formula has a slot.  Each
+``FrameIndex`` runs the program of a system once, semi-naively, and
+keeps the run: stage 0 is one step over every operation, and each later
+stage recomputes only the operations that read a slot which changed, at
+the states that can change.  The run keeps the stages and, per stage,
+the states that first enter each slot there; the first-stage table is
+read off those deltas.  ``iterate_stages``, ``least_stable_stage``,
+``approx``, ``sig_approx`` and ``first_stages`` all read that run.
+``FrameIndex.eval`` takes one step of a formula's program, or steps a
+mu/nu binder's body until it is stable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ordinal import Ordinal
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationalFormula, EquationSystem,
-                     Formula, Mu, NegProp, Nabla, Nu, Prop, UnboundVariable, Var,
-                     _children, _postorder, free_vars)
+                     Formula, Mu, NegProp, Nu, Prop, UnboundVariable, Var,
+                     _children, _postorder, closure)
 from .frame import Frame
 
 __all__ = [
@@ -96,64 +96,46 @@ class FrameIndex:
         return m
 
     def unmask(self, m: int) -> FrozenSet[str]:
-        return frozenset(
-            s for s, i in self.position.items() if m >> i & 1
-        )
+        # bit i of m, read from the reversed binary text, picks state i
+        return frozenset(compress(self.frame.states, map("1".__eq__, bin(m)[:1:-1])))
 
     def eval(self, f: Formula, env: Optional[Mapping[str, int]] = None) -> int:
-        """Evaluate a formula to a state mask under a variable mask map."""
-        env = env or {}
-        closed = not free_vars(f)
+        """Evaluate a formula to a state mask under a variable mask map
+        (missing variables denote the empty set) on its stage program.
+
+        A mu (nu) binder steps its body from the empty (full) mask until
+        the value is stable, re-evaluating open binder leaves at each
+        step, so recursion deepens with binder nesting only.
+        """
+        closed = not f.fv
         if closed:
             cached = self._closed.get(f)
             if cached is not None:
                 return cached
-        m = self._eval(f, env)
+        env = env or {}
+        prog = _program(f)
+
+        def step(env: Mapping[str, int]) -> int:
+            vals = [env.get(x, 0) for x in prog.inputs] + _leaves(prog, self, env)
+            return _step(prog.ops, vals, self.full, self.nab, self.box, self.dia)[prog.roots[0]]
+
+        if isinstance(f, (Mu, Nu)):
+            inner = dict(env)
+            m = 0 if isinstance(f, Mu) else self.full
+            while True:
+                inner[f.var] = m
+                nxt = step(inner)
+                if nxt == m:
+                    break
+                m = nxt
+        else:
+            m = step(env)
         if closed:
             self._closed[f] = m
         return m
 
-    def _eval(self, f: Formula, env: Mapping[str, int]) -> int:
-        full = self.full
-        if isinstance(f, Prop):
-            return self.prop_mask.get(f.name, 0)
-        if isinstance(f, NegProp):
-            return full & ~self.prop_mask.get(f.name, 0)
-        if isinstance(f, Var):
-            return env.get(f.name, 0)
-        if isinstance(f, BigAnd):
-            acc = full
-            for a in f.args:
-                acc &= self.eval(a, env)
-                if not acc:
-                    break
-            return acc
-        if isinstance(f, BigOr):
-            acc = 0
-            for a in f.args:
-                acc |= self.eval(a, env)
-                if acc == full:
-                    break
-            return acc
-        if isinstance(f, Nabla):
-            return self.nab([self.eval(a, env) for a in f.args])
-        if isinstance(f, Box):
-            return self.box(self.eval(f.arg, env))
-        if isinstance(f, Dia):
-            return self.dia(self.eval(f.arg, env))
-        if isinstance(f, (Mu, Nu)):
-            cur = 0 if isinstance(f, Mu) else full
-            inner = dict(env)
-            while True:
-                inner[f.var] = cur
-                nxt = self.eval(f.body, inner)
-                if nxt == cur:
-                    return cur
-                cur = nxt
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-    # The modal steps, shared by ``eval`` and the stage program.  ``box``
-    # and ``nab`` test only the states of the candidate mask ``at``.
+    # The modal steps of the stage program.  ``box`` and ``nab`` test
+    # only the states of the candidate mask ``at``.
 
     def _at(self, at: Optional[int]) -> Iterable[Tuple[int, int]]:
         """(position, successor mask) of each state in ``at``; all if None."""
@@ -218,27 +200,26 @@ _AND, _OR, _NAB, _BOX, _DIA = range(5)
 
 
 class _StageProgram:
-    """An equation system compiled to a flat list of mask operations.
+    """Formulas compiled to a flat list of mask operations.
 
-    Slot i < |vars| holds variable i and the next slots hold the
-    leaves: the propositions, their negations and the closed mu/nu
-    subformulas of the bodies.  Every other subformula, closed or not,
-    is an operation that appends one slot, in post-order, so that it
-    reads only earlier slots.  Equal subformulas share one slot;
-    ``slot`` maps each formula to its slot.  ``roots[i]`` is the slot of
-    the body of variable i, and ``users[k]`` is the bit mask of the
-    operation slots that read slot k.
+    Slot i < |inputs| holds the input variable i and the next slots hold
+    the leaves: the propositions, their negations and the mu/nu
+    subformulas, which the program does not enter.  Every other
+    subformula of ``roots`` and ``more``, closed or not, is an operation
+    that appends one slot, in post-order, so that it reads only earlier
+    slots.  Equal subformulas share one slot; ``slot`` maps each formula
+    to its slot.  ``roots`` are the slots of the root formulas, and
+    ``users[k]`` is the bit mask of the operation slots that read slot k.
     """
 
-    __slots__ = ("leaves", "ops", "roots", "slot", "users")
+    __slots__ = ("inputs", "leaves", "ops", "roots", "slot", "users")
 
-    def __init__(self, system: EquationSystem) -> None:
-        names = system.vars
-        slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(names)}
+    def __init__(self, inputs: Sequence[str], roots: Sequence[Formula],
+                 more: Iterable[Formula] = ()) -> None:
+        slot: Dict[Formula, int] = {Var(x): i for i, x in enumerate(inputs)}
         leaves: List[Formula] = []
         operations: List[Formula] = []
-        bodies = [system.eq(x) for x in names]
-        for f in _postorder(bodies, lambda f: () if isinstance(f, (Mu, Nu)) else _children(f)):
+        for f in _postorder([*roots, *more], lambda f: () if isinstance(f, (Mu, Nu)) else _children(f)):
             if f not in slot:
                 (leaves if isinstance(f, (Prop, NegProp, Mu, Nu)) else operations).append(f)
         for f in leaves + operations:
@@ -255,20 +236,48 @@ class _StageProgram:
                 ops.append((code, tuple(slot[a] for a in f.args)))
             for a in _children(f):
                 users[slot[a]] |= 1 << slot[f]
+        self.inputs = tuple(inputs)
         self.leaves = tuple(leaves)
         self.ops = tuple(ops)
-        self.roots = tuple(slot[f] for f in bodies)
+        self.roots = tuple(slot[f] for f in roots)
         self.slot = slot
         self.users = tuple(users)
 
 
-def _program(system: EquationSystem) -> _StageProgram:
+def _program(source: Union[EquationSystem, Formula]) -> _StageProgram:
+    """The stage program of a system or formula, compiled once and kept
+    on it.  A system's inputs are its variables and its roots its
+    bodies; every closure formula gets a slot.  A formula's inputs are
+    its free variables and its root is itself; a binder's own variable
+    comes first and its body is the root.
+    """
     try:
-        return system._program
+        return source._program
     except AttributeError:
-        prog = _StageProgram(system)
-        object.__setattr__(system, "_program", prog)
-        return prog
+        pass
+    if isinstance(source, EquationSystem):
+        names = source.vars
+        prog = _StageProgram(names, [source.eq(x) for x in names], closure(source))
+    elif isinstance(source, (Mu, Nu)):
+        prog = _StageProgram((source.var, *sorted(source.fv)), (source.body,))
+    else:
+        prog = _StageProgram(sorted(source.fv), (source,))
+    object.__setattr__(source, "_program", prog)
+    return prog
+
+
+def _leaves(prog: _StageProgram, index: FrameIndex, env: Mapping[str, int]) -> List[int]:
+    """The program's leaf masks on the index, mu/nu leaves under ``env``."""
+    props, full = index.prop_mask, index.full
+    out = []
+    for f in prog.leaves:
+        if isinstance(f, Prop):
+            out.append(props.get(f.name, 0))
+        elif isinstance(f, NegProp):
+            out.append(full & ~props.get(f.name, 0))
+        else:
+            out.append(index.eval(f, env))
+    return out
 
 
 def _step(ops, vals: List[int], full: int, nab, box, dia) -> List[int]:
@@ -313,16 +322,7 @@ class _Run:
 
     def __init__(self, prog: _StageProgram, index: FrameIndex) -> None:
         self.prog = prog
-        props = index.prop_mask
-        leaves = []
-        for f in prog.leaves:
-            if isinstance(f, Prop):
-                leaves.append(props.get(f.name, 0))
-            elif isinstance(f, NegProp):
-                leaves.append(index.full & ~props.get(f.name, 0))
-            else:
-                leaves.append(index.eval(f))
-        self.leaves = tuple(leaves)
+        self.leaves = tuple(_leaves(prog, index, {}))
         self.stages, self.deltas = _stages(prog, index, self.leaves)
         self.first: Optional[Dict[Formula, Tuple[Tuple[int, int], ...]]] = None
         self.sig: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -346,7 +346,7 @@ def _stages(prog: _StageProgram, index: FrameIndex, leaves: Tuple[int, ...]
     not in the slot yet.
     """
     roots, ops, users = prog.roots, prog.ops, prog.users
-    base = len(roots) + len(leaves)
+    base = len(prog.inputs) + len(leaves)
     full, nab, box, dia = index.full, index.nab, index.box, index.dia
     cur = (0,) * len(roots)
     vals = _step(ops, [*cur, *leaves], full, nab, box, dia)
@@ -439,12 +439,13 @@ def least_stable_stage(
 def first_stages(
     system: EquationSystem, index: FrameIndex
 ) -> Dict[Formula, Tuple[Tuple[int, int], ...]]:
-    """For each formula with a slot in the system's stage program, the
-    pairs (a, m) in stage order where m is the nonempty mask of the
-    states at which the formula first holds at stage a.
+    """For each variable and each closure formula of the system (every
+    one has a slot in the system's stage program), the pairs (a, m) in
+    stage order where m is the nonempty mask of the states at which the
+    formula first holds at stage a.
 
-    Formulas without a slot (those inside closed mu/nu leaves) are
-    closed, so they hold from stage 0 wherever ``index.eval`` holds.
+    A closed formula reads no variable, so its one pair, if any, is at
+    stage 0.
     """
     run = _run(system, index)
     if run.first is None:

@@ -27,9 +27,9 @@ compiler, ``normalform``'s name scans and ``frame.tree_canonical_form``
 run on it, so none is bounded by the recursion limit.  Recursive on
 purpose: the parser; ``format_formula``, since an iterative printer
 would keep a string per level of a deep nest (quadratic memory);
-``FrameIndex.eval``, the reference the stage program is checked
-against; and ``normalform``'s ``to_equational`` walk, ``hoist``/``cnf``
-and ``_resolve_unguarded``, whose binder environment or visiting order
+``FrameIndex.eval``, once per level of binder nesting; and
+``normalform``'s ``to_equational`` walk, ``hoist``/``cnf`` and
+``_resolve_unguarded``, whose binder environment or visiting order
 names fresh variables.  ``_validate_body`` keeps its own stack to track
 guardedness per path.
 """
@@ -96,10 +96,11 @@ class Formula:
     order-insensitively because they are frozensets of such nodes.
     ``fv``, the set of free variable names, is set at construction from
     the children's ``fv``; the canonical text is computed on first use
-    and kept.  Nodes are immutable by convention.
+    and kept, and so is ``_program``, the node's compiled stage program
+    in ``nablamu.semantics``.  Nodes are immutable by convention.
     """
 
-    __slots__ = ("fv", "_text")
+    __slots__ = ("fv", "_text", "_program")
 
     def _free(self) -> FrozenSet[str]:
         return _NO_VARS

@@ -1,19 +1,31 @@
-"""Shared fixtures: the system corpus, seeded random generators, and the
-annotated descent spines used by the repetition-pair and pump tests."""
+"""Shared fixtures: the system corpus, seeded random generators, the
+recursive reference evaluator, and the annotated descent spines used by
+the repetition-pair and pump tests."""
 
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from nablamu import (
     Annotation,
+    BigAnd,
+    BigOr,
+    Box,
+    Dia,
     EquationSystem,
     EquationalFormula,
     FF,
     Formula,
+    FrameIndex,
+    Mu,
+    Nabla,
+    NegProp,
+    Nu,
     Ordinal,
+    Prop,
     TT,
     TreeFrame,
+    Var,
     box,
     conj,
     cover,
@@ -46,6 +58,72 @@ FORMULA_CORPUS: Tuple[str, ...] = (
     "mu x. or{p, dia (mu y. or{x, dia y})}",
     "nu y. dia y",
 )
+
+
+def ref_eval(index: FrameIndex, f: Formula,
+             env: Optional[Mapping[str, int]] = None,
+             closed: Optional[Dict[Formula, int]] = None) -> int:
+    """The recursive reference evaluator: the state mask of a formula on
+    the index under a variable mask map, by structural recursion, with
+    mu/nu binders iterated from the empty/full mask until stable.
+
+    Closed subformulas are evaluated once per call (``closed`` caches
+    them), so nested closed binders cost one iteration each.  Only the
+    modal steps ``index.nab``/``box``/``dia`` are shared with the stage
+    program.
+    """
+    env = env or {}
+    if closed is None:
+        closed = {}
+    if not f.fv:
+        cached = closed.get(f)
+        if cached is not None:
+            return cached
+    m = _ref_eval(index, f, env, closed)
+    if not f.fv:
+        closed[f] = m
+    return m
+
+
+def _ref_eval(index: FrameIndex, f: Formula, env: Mapping[str, int],
+              closed: Dict[Formula, int]) -> int:
+    full = index.full
+    if isinstance(f, Prop):
+        return index.prop_mask.get(f.name, 0)
+    if isinstance(f, NegProp):
+        return full & ~index.prop_mask.get(f.name, 0)
+    if isinstance(f, Var):
+        return env.get(f.name, 0)
+    if isinstance(f, BigAnd):
+        acc = full
+        for a in f.args:
+            acc &= ref_eval(index, a, env, closed)
+            if not acc:
+                break
+        return acc
+    if isinstance(f, BigOr):
+        acc = 0
+        for a in f.args:
+            acc |= ref_eval(index, a, env, closed)
+            if acc == full:
+                break
+        return acc
+    if isinstance(f, Nabla):
+        return index.nab([ref_eval(index, a, env, closed) for a in f.args])
+    if isinstance(f, Box):
+        return index.box(ref_eval(index, f.arg, env, closed))
+    if isinstance(f, Dia):
+        return index.dia(ref_eval(index, f.arg, env, closed))
+    if isinstance(f, (Mu, Nu)):
+        cur = 0 if isinstance(f, Mu) else full
+        inner = dict(env)
+        while True:
+            inner[f.var] = cur
+            nxt = ref_eval(index, f.body, inner, closed)
+            if nxt == cur:
+                return cur
+            cur = nxt
+    raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
 def corpus_systems() -> List[Tuple[str, EquationalFormula]]:

@@ -417,11 +417,17 @@ if __name__ == '__main__':
 def test_console_script_is_installed(files):
     # The [project.scripts] entry of pyproject.toml, run through the
     # wrapper an install would put on PATH, against the source tree.
-    import tomllib  # Python >= 3.11 only, so not a module-level import
-
+    # Read line by line: tomllib is Python >= 3.11 only, and the package
+    # supports 3.10.
     root = Path(__file__).resolve().parent.parent
-    with open(root / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+    section, scripts = None, {}
+    for line in (root / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, value = line.split("=", 1)
+            scripts[name.strip()] = value.strip().strip('"')
     module, func = scripts["nablamu"].split(":")
     bindir = files["tmp"] / "bin"
     bindir.mkdir()

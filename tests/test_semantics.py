@@ -1,24 +1,32 @@
 """Evaluation, ordinal-stage approximations, and per-frame closure ordinals."""
 
+from itertools import product
 from random import Random
 
 import pytest
 
 from nablamu import (
     OMEGA,
+    EquationSystem,
+    EquationalFormula,
     Frame,
     FrameIndex,
     NegProp,
     Ordinal,
+    ParseError,
     Prop,
     approx,
+    box,
     chain,
     closure,
     closure_ordinal_on,
+    conservative,
+    cover,
     czarnecki,
     czarnecki_formula,
     denotation,
     desugar,
+    disj,
     enumerate_frames,
     eval_formula,
     frame_index,
@@ -26,6 +34,7 @@ from nablamu import (
     parse_formula,
     parse_frame,
     parse_system,
+    prop,
     random_frame,
     sig_approx,
     stabilize,
@@ -33,9 +42,11 @@ from nablamu import (
     var,
 )
 from nablamu.semantics import first_stages, least_stable_stage
-from nablamu.syntax import Mu, Nu, Var, _children, _postorder
+from nablamu.syntax import Var, _postorder
 
-from conftest import full_corpus, random_instance, two_variable_corpus
+from conftest import FORMULA_CORPUS, full_corpus, random_instance, ref_eval, two_variable_corpus
+from test_acceptance import GAMMA_FAMILIES, _law_sides
+from test_syntax import deep_closed_mu
 
 
 CHAIN3 = parse_frame("states: s0 s1 s2\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
@@ -173,47 +184,58 @@ def _jacobi_stages(system, index):
     stages = [{x: 0 for x in system.vars}]
     while True:
         cur = stages[-1]
-        nxt = {x: cur[x] | index.eval(system.eq(x), cur) for x in system.vars}
+        nxt = {x: cur[x] | ref_eval(index, system.eq(x), cur) for x in system.vars}
         if nxt == cur:
             return stages
         stages.append(nxt)
 
 
-def test_stage_program_matches_recursive_evaluation():
-    # The compiled stage program against FrameIndex.eval, stage by stage,
-    # on every corpus system (closed mu/nu leaves and box/dia included).
+def _corpus_frames(name, props):
+    """The exhaustive frames of at most 2 states over ``props`` and 40
+    random ones of at most 8 states, seeded by ``name``."""
+    frames = list(enumerate_frames(2, props))
+    rng = Random(name)
+    frames += [random_frame(rng.randint(1, 8),
+                            edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
+                            props=props, seed=rng.randrange(1 << 30))
+               for _ in range(40)]
+    return frames
+
+
+def _corpus_cases():
+    """Each corpus system with its frames, over the propositions of its
+    closure."""
     for name, eqf in full_corpus():
         system = eqf.system
         props = sorted({f.name for f in closure(system)
                         if isinstance(f, (Prop, NegProp))})
-        frames = list(enumerate_frames(2, props))
-        rng = Random(name)
-        frames += [random_frame(rng.randint(1, 8),
-                                edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
-                                props=props, seed=rng.randrange(1 << 30))
-                   for _ in range(40)]
+        yield name, system, _corpus_frames(name, props)
+
+
+def test_stage_program_matches_recursive_evaluation():
+    # The compiled stage program against ref_eval, stage by stage,
+    # on every corpus system (closed mu/nu leaves and box/dia included).
+    for name, system, frames in _corpus_cases():
         for fr in frames:
             got = iterate_stages(system, FrameIndex(fr))
             assert got == _jacobi_stages(system, FrameIndex(fr)), (name, fr)
 
 
 def _slot_formulas(system):
-    """The variables and every subformula of the bodies outside closed
-    mu/nu subformulas: the formulas the stage program gives a slot."""
-    bodies = [system.eq(x) for x in system.vars]
-    walk = _postorder(bodies, lambda f: () if isinstance(f, (Mu, Nu)) else _children(f))
-    return {Var(x) for x in system.vars} | set(walk)
+    """The variables and the closure formulas: the formulas the stage
+    program gives a slot."""
+    return {Var(x) for x in system.vars} | closure(system)
 
 
 def _first_stage_definition(system, index):
     """For each slot formula, the pairs (a, m) where m holds the states
-    at which ``index.eval`` first holds the formula at stage a."""
+    at which ``ref_eval`` first holds the formula at stage a."""
     stages = _jacobi_stages(system, index)
     table = {}
     for f in _slot_formulas(system):
         seen, pairs = 0, []
         for a, env in enumerate(stages):
-            new = index.eval(f, env) & ~seen
+            new = ref_eval(index, f, env) & ~seen
             if new:
                 pairs.append((a, new))
                 seen |= new
@@ -249,19 +271,112 @@ def test_first_stage_table_matches_definition():
     for label, eqf, fr in _scale_cases():
         want = _first_stage_definition(eqf.system, FrameIndex(fr))
         assert first_stages(eqf.system, FrameIndex(fr)) == want, label
-    for name, eqf in full_corpus():
-        system = eqf.system
-        props = sorted({f.name for f in closure(system)
-                        if isinstance(f, (Prop, NegProp))})
-        frames = list(enumerate_frames(2, props))
-        rng = Random(name)
-        frames += [random_frame(rng.randint(1, 8),
-                                edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
-                                props=props, seed=rng.randrange(1 << 30))
-                   for _ in range(40)]
+    for name, system, frames in _corpus_cases():
         for fr in frames:
             want = _first_stage_definition(system, FrameIndex(fr))
             assert first_stages(system, FrameIndex(fr)) == want, (name, fr)
+
+
+# ------------------------------------- one evaluator against the reference
+
+def _envs(index, names, rng):
+    """Every valuation of ``names`` on a frame of at most 2 states, three
+    random ones on a larger frame."""
+    if index.n <= 2:
+        return [dict(zip(names, ms))
+                for ms in product(range(index.full + 1), repeat=len(names))]
+    return [{x: rng.getrandbits(index.n) for x in names} for _ in range(3)]
+
+
+def test_eval_matches_reference_evaluator():
+    # FrameIndex.eval on the stage program against ref_eval: every
+    # subformula of the formula corpus, open binders such as
+    # mu y. or{x, dia y} included, under every or random valuation;
+    # every closure formula of the system corpus under every stage.
+    checks = 0
+    for text in FORMULA_CORPUS:
+        f = parse_formula(text, keep_sugar=True)
+        subs = set(_postorder([f, desugar(f)]))
+        rng = Random(text)
+        for fr in _corpus_frames(text, ["p"]):
+            index = FrameIndex(fr)
+            for g in subs:
+                for env in _envs(index, sorted(g.fv), rng):
+                    assert index.eval(g, env) == ref_eval(index, g, env), (text, g, fr)
+                    checks += 1
+    for name, system, frames in _corpus_cases():
+        clos = closure(system)
+        for fr in frames:
+            index = FrameIndex(fr)
+            for env in iterate_stages(system, index):
+                for g in clos:
+                    assert index.eval(g, env) == ref_eval(index, g, env), (name, g, fr)
+                    checks += 1
+    assert checks > 50_000
+
+
+def test_eval_matches_reference_on_cover_law_frames():
+    # The formulas and frames of acceptance test 1.
+    sides = [g for members in GAMMA_FAMILIES for g in _law_sides(members)]
+    frames = list(enumerate_frames(3, ("p", "q")))
+    frames += [random_frame(1 + i % 8, edge_prob=(0.15, 0.3, 0.5, 0.7)[i % 4],
+                            props=("p", "q"), seed=9000 + i) for i in range(500)]
+    for fr in frames:
+        index = FrameIndex(fr)
+        for g in sides:
+            assert index.eval(g) == ref_eval(index, g), (g, fr)
+
+
+def test_eval_without_recursion_on_a_ten_thousand_deep_box():
+    f = prop("p")
+    for _ in range(10_000):
+        f = box(f)
+    # p holds at c only; 10^4 steps from b reach c on the 3-cycle.
+    cycle = parse_frame("states: a b c\nedges: a->b b->c c->a\nlabels: p: c\n")
+    assert eval_formula(f, cycle) == frozenset({"b"})
+    chain = parse_frame("states: a b\nedges: a->b\nlabels: p: b\n")
+    assert eval_formula(f, chain) == frozenset({"a", "b"})
+
+
+def test_ten_thousand_deep_closed_mu_system_evaluates_and_annotates():
+    phi = deep_closed_mu(10_000)
+    system = EquationSystem([("x", disj(cover(var("x")), phi))])
+    eqf = EquationalFormula(system, "x")
+    # q holds at a only; from b and c, q is reached within two box levels.
+    cycle = parse_frame("states: a b c\nedges: a->b b->c c->a\nlabels: q: a\n")
+    assert eval_formula(phi, cycle) == frozenset(cycle.states)
+    assert closure_ordinal_on(cycle, eqf) == 1
+    # So every closure formula but q holds at every state.
+    ann = conservative(system, cycle)
+    clos = closure(system)
+    assert ann.stripped("a") == clos
+    assert ann.stripped("b") == ann.stripped("c") == clos - {prop("q")}
+    assert sum(len(entries) for _, entries in ann.items()) == 3 * len(clos) - 2
+
+
+def test_deepest_parsable_binder_nesting_evaluates():
+    # Only nested binders recurse in the evaluator, and the parser caps
+    # their nesting; evaluate the deepest nest of
+    # (mu xi. or{q, dia (...)}) that parse_formula accepts.
+    def nest(depth):
+        text = "x0"
+        for i in range(depth):
+            text = f"(mu x{i}. or{{q, dia {text}}})"
+        return text
+
+    depth = 1
+    while True:
+        try:
+            parse_formula(nest(depth + 1))
+        except ParseError:
+            break
+        depth += 1
+    assert depth > 50
+    f = parse_formula(nest(depth))
+    # q holds at c only, and every state reaches c.
+    cycle = parse_frame("states: a b c\nedges: a->b b->c c->a\nlabels: q: c\n")
+    assert eval_formula(f, cycle) == frozenset(cycle.states)
+    assert FrameIndex(cycle).eval(f) == ref_eval(FrameIndex(cycle), f)
 
 
 # ------------------------------------------------- the frame index's steps
@@ -288,6 +403,14 @@ def test_pred_is_the_transpose_of_succ():
             loops += idx.succ[i] >> i & 1
             deadlocks += not idx.succ[i]
     assert loops and deadlocks
+
+
+def test_unmask_gives_the_states_of_the_set_bits():
+    for seed in range(60):
+        rng, idx = _random_index(seed)
+        for m in (0, idx.full, *(rng.getrandbits(idx.n) for _ in range(10))):
+            want = frozenset(s for s, i in idx.position.items() if m >> i & 1)
+            assert idx.unmask(m) == want, (seed, m)
 
 
 def test_box_and_nab_on_candidates_are_the_full_step_restricted():
@@ -360,7 +483,7 @@ def test_signature_length_must_match_variables():
 
 
 def _recursive_sig_approx(psi, sig, system, frame):
-    """The signature approximant from its definition, on FrameIndex.eval:
+    """The signature approximant from its definition, on ``ref_eval``:
     variable i under s is the union over b < s_i of body i under s with
     entry i lowered to b."""
     index = FrameIndex(frame)
@@ -371,11 +494,11 @@ def _recursive_sig_approx(psi, sig, system, frame):
         for b in range(s[i]):
             low = s[:i] + (b,) + s[i + 1:]
             env = {x: var_val(j, low) for j, x in enumerate(names)}
-            acc |= index.eval(system.eq(names[i]), env)
+            acc |= ref_eval(index, system.eq(names[i]), env)
         return acc
 
     env = {x: var_val(j, sig) for j, x in enumerate(names)}
-    return index.unmask(index.eval(psi, env))
+    return index.unmask(ref_eval(index, psi, env))
 
 
 def test_sig_approx_matches_definition():

@@ -338,11 +338,21 @@ def random_frame(
         raise InvalidParameter("random_frame needs at least one state")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameter("edge_prob must lie in [0, 1]")
-    rng = Random(seed)
     states = [f"s{i}" for i in range(size)]
-    edges = [(a, b) for a in states for b in states if rng.random() < edge_prob]
-    labels = {p: [s for s in states if rng.random() < 0.5] for p in props}
-    return Frame(states, edges, labels)
+    edges, labels = _random_draws(size, edge_prob, len(props), seed)
+    return Frame(states, [(states[k // size], states[k % size]) for k in edges],
+                 {p: [states[i] for i in members] for p, members in zip(props, labels)})
+
+
+def _random_draws(size: int, edge_prob: float, nprops: int, seed: int
+                  ) -> Tuple[List[int], List[List[int]]]:
+    """The draws of ``random_frame`` by state position: the edges i -> j
+    as row-major positions i * size + j, then per proposition the
+    labelled positions."""
+    rand = Random(seed).random
+    edges = [k for k in range(size * size) if rand() < edge_prob]
+    labels = [[i for i in range(size) if rand() < 0.5] for _ in range(nprops)]
+    return edges, labels
 
 
 def unravel(frame: Frame, start: str, depth: int) -> TreeFrame:

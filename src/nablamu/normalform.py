@@ -8,6 +8,13 @@ closed formulas plus exactly one cover modality over variables),
 verifying each translation against a semantic-equivalence oracle on an
 exhaustive small-frame sweep plus a randomized sweep.  A mismatch
 aborts the translation rather than shipping a wrong normal form.
+
+The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
+per state count: the exhaustive frames are packed once per (max states,
+propositions) and kept, the random frames are drawn straight into lanes
+on every call with the draws of ``random_frame``.  Each batch is one
+stage run per system; input and output agree when the two stable masks
+are equal, and only the differing lanes are unpacked for the report.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from .syntax import (
     is_conjunctive,
     sort_key,
 )
-from .frame import Frame, enumerate_frames, random_frame
-from .semantics import FrameIndex, least_stable_stage
+from .frame import _random_draws, enumerate_frames
+from .semantics import FrameBatch, lane_closure_ordinals
 
 __all__ = [
     "NotSigmaFragment",
@@ -473,35 +480,51 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-_EXHAUSTIVE_CACHE: Dict[Tuple[int, Tuple[str, ...]], Tuple[Frame, ...]] = {}
+_EXHAUSTIVE_CACHE: Dict[Tuple[int, Tuple[str, ...]], Tuple[FrameBatch, ...]] = {}
 
 
-def _exhaustive_frames(max_states: int, props: Tuple[str, ...]) -> Tuple[Frame, ...]:
+def _exhaustive_batches(max_states: int, props: Tuple[str, ...]) -> Tuple[FrameBatch, ...]:
+    """The exhaustive frames up to ``max_states`` states, one lane batch
+    per state count, packed once per (max states, propositions)."""
     key = (max_states, props)
     if key not in _EXHAUSTIVE_CACHE:
-        _EXHAUSTIVE_CACHE[key] = tuple(enumerate_frames(max_states, props))
+        groups: Dict[int, list] = {}
+        for fr in enumerate_frames(max_states, props):
+            n = len(fr.states)
+            pos = {s: i for i, s in enumerate(fr.states)}
+            groups.setdefault(n, []).append((
+                [pos[a] * n + pos[b] for a, b in fr.edges],
+                [[pos[s] for s in fr.label_states(p)] for p in props]))
+        _EXHAUSTIVE_CACHE[key] = tuple(FrameBatch(n, frames, props) for n, frames in groups.items())
     return _EXHAUSTIVE_CACHE[key]
 
 
-def _init_mask_and_stage(eqf: EquationalFormula, index: FrameIndex) -> Tuple[int, int]:
-    final, stage = least_stable_stage(eqf.system, index, eqf.init)
-    return final[eqf.init], stage
-
-
-def _oracle_frames(
+def _oracle_batches(
     eqf: EquationalFormula,
     exhaustive_max: int,
     random_count: int,
-) -> Iterator[Tuple[str, Frame]]:
-    prop_tuple = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
-    for i, fr in enumerate(_exhaustive_frames(exhaustive_max, prop_tuple)):
-        yield f"E{len(fr.states)}#{i}", fr
+) -> Tuple[List[str], List[Tuple[FrameBatch, range]]]:
+    """The oracle frames' labels in report order, and their lane batches
+    with the report position of each lane: the exhaustive frames, then
+    ``random_count`` seeded random frames of 1-8 states, drawn straight
+    into one batch per size."""
+    props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
+    labels: List[str] = []
+    batches = []
+    for batch in _exhaustive_batches(exhaustive_max, props):
+        where = range(len(labels), len(labels) + batch.lanes)
+        labels += [f"E{batch.n}#{k}" for k in where]
+        batches.append((batch, where))
+    first = len(labels)
+    labels += [f"R#{i}" for i in range(random_count)]
     seed = zlib.crc32(format_system(eqf).encode())
     probs = (0.15, 0.3, 0.5, 0.7)
-    for i in range(random_count):
-        fr = random_frame(1 + i % 8, edge_prob=probs[i % 4],
-                          props=prop_tuple, seed=seed + i)
-        yield f"R#{i}", fr
+    for size in range(1, 9):
+        nums = range(size - 1, random_count, 8)
+        if nums:
+            frames = [_random_draws(size, probs[i % 4], len(props), seed + i) for i in nums]
+            batches.append((FrameBatch(size, frames, props), range(first + size - 1, len(labels), 8)))
+    return labels, batches
 
 
 def to_conjunctive(
@@ -518,22 +541,20 @@ def to_conjunctive(
         raise TranslationFailure(
             "rewriting did not reach conjunctive shape",
             subterm=_first_nonconjunctive(out.system))
-    mismatches: List[Tuple[str, Tuple[str, ...], Tuple[str, ...]]] = []
-    ordinals: List[Tuple[str, int, int]] = []
-    checked = 0
-    for label, fr in _oracle_frames(eqf, exhaustive_max, random_count):
-        checked += 1
-        # one-shot frames: a private index, kept out of frame_index's cache
-        index = FrameIndex(fr)
-        want, co_in = _init_mask_and_stage(eqf, index)
-        got, co_out = _init_mask_and_stage(out, index)
-        ordinals.append((label, co_in, co_out))
+    labels, batches = _oracle_batches(eqf, exhaustive_max, random_count)
+    ordinals: List = [None] * len(labels)
+    found = []
+    for batch, where in batches:
+        want, co_in = lane_closure_ordinals(eqf, batch)
+        got, co_out = lane_closure_ordinals(out, batch)
+        for k, a, b in zip(where, co_in, co_out):
+            ordinals[k] = (labels[k], a, b)
         if want != got:
-            mismatches.append((
-                label,
-                tuple(sorted(index.unmask(want))),
-                tuple(sorted(index.unmask(got))),
-            ))
+            for lane in batch.lanes_of(want ^ got):
+                k = where[lane]
+                found.append((k, (labels[k], batch.states(want, lane), batch.states(got, lane))))
+    mismatches = [m for _, m in sorted(found)]
+    checked = len(labels)
     if mismatches:
         raise TranslationFailure(
             f"translation disagrees with input on {len(mismatches)} of "

@@ -23,6 +23,12 @@ read off those deltas.  ``iterate_stages``, ``least_stable_stage``,
 ``approx``, ``sig_approx`` and ``first_stages`` all read that run.
 ``FrameIndex.eval`` takes one step of a formula's program, or steps a
 mu/nu binder's body until it is stable.
+
+A ``FrameBatch`` is a second frame domain for the same stage loop: many
+frames of one state count packed position-major into the lanes of one
+mask, with the modal steps done lane by lane.  One run gives every
+frame's stages, and ``lane_closure_ordinals`` reads each lane's closure
+ordinal off them.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ from .frame import Frame
 
 __all__ = [
     "FrameIndex",
+    "FrameBatch",
     "frame_index",
     "iterate_stages",
     "least_stable_stage",
+    "lane_closure_ordinals",
     "first_stages",
     "eval_formula",
     "denotation",
@@ -190,6 +198,90 @@ class FrameIndex:
 @lru_cache(maxsize=256)
 def frame_index(frame: Frame) -> FrameIndex:
     return FrameIndex(frame)
+
+
+class FrameBatch:
+    """Frames of ``n`` states each, packed position-major into lanes:
+    bit i * lanes + f of a mask is state i of frame f.
+
+    It offers what the stage program reads of a ``FrameIndex`` (``n``,
+    ``full``, ``prop_mask``, ``dia``, ``box``, ``nab`` and ``eval``), and
+    every operation acts on each lane as on its frame alone, so one stage
+    run gives every frame's stages.  ``dia`` is the only graph step; by
+    the cover law ``box m = not dia(not m)`` and
+    ``nab G = dia(and G) or (or of box g for g in G)``.  As on an index,
+    ``_closed`` keeps the masks of closed formulas, which are the same
+    whichever system reads them; no stage run is kept.
+    """
+
+    __slots__ = ("n", "lanes", "full", "prop_mask", "_rows", "_closed")
+
+    def __init__(self, n: int, frames: Sequence[Tuple[Iterable[int], Sequence[Iterable[int]]]],
+                 props: Sequence[str]) -> None:
+        """``frames`` gives per frame its edges i -> j as row-major
+        positions i * n + j and, aligned with ``props``, the positions of
+        each proposition's states."""
+        lanes = len(frames)
+        edge = [0] * (n * n)
+        props_at = [0] * len(props)
+        for f, (edges, labels) in enumerate(frames):
+            bit = 1 << f
+            for k in edges:
+                edge[k] |= bit
+            for k, members in enumerate(labels):
+                for i in members:
+                    props_at[k] |= bit << i * lanes
+        self.n = n
+        self.lanes = lanes
+        self.full = (1 << n * lanes) - 1
+        self.prop_mask = {p: m for p, m in zip(props, props_at) if m}
+        # per position i with an edge out: its shift and, per position j
+        # with an edge (i, j) in some lane, j's shift and those lanes
+        self._rows = tuple(
+            (i * lanes, row) for i in range(n)
+            if (row := tuple((j * lanes, edge[i * n + j]) for j in range(n) if edge[i * n + j])))
+        self._closed: Dict[Formula, int] = {}
+
+    eval = FrameIndex.eval
+
+    def dia(self, m: int) -> int:
+        """States with a successor in m, lane by lane."""
+        out = 0
+        if m:
+            for shift, row in self._rows:
+                acc = 0
+                for at, lanes in row:
+                    acc |= m >> at & lanes
+                out |= acc << shift
+        return out
+
+    def box(self, m: int, at: Optional[int] = None) -> int:
+        """States in ``at`` all of whose successors lie in m."""
+        full = self.full
+        out = full & ~self.dia(full & ~m)
+        return out if at is None else out & at
+
+    def nab(self, members: Sequence[int], at: Optional[int] = None) -> int:
+        """States in ``at`` where some successor lies in every member, or
+        every successor lies in one single member."""
+        inter = self.full
+        for m in members:
+            inter &= m
+        out = self.dia(inter)
+        for m in members:
+            out |= self.box(m)
+        return out if at is None else out & at
+
+    def lanes_of(self, m: int) -> List[int]:
+        """The lanes in which m has a state."""
+        acc, lanes = 0, self.lanes
+        for shift in range(0, self.n * lanes, lanes):
+            acc |= m >> shift
+        return list(compress(range(lanes), map("1".__eq__, bin(acc & (1 << lanes) - 1)[:1:-1])))
+
+    def states(self, m: int, lane: int) -> Tuple[str, ...]:
+        """The sorted names ``s<i>`` of lane's states in m."""
+        return tuple(sorted(f"s{i}" for i in range(self.n) if m >> i * self.lanes + lane & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +526,24 @@ def least_stable_stage(
         last = final[i]
         first = next(a for a, st in enumerate(stages) if st[i] == last)
     return dict(zip(system.vars, final)), first
+
+
+def lane_closure_ordinals(eqf: EquationalFormula, batch: FrameBatch) -> Tuple[int, List[int]]:
+    """The stable mask of the initial variable on the batch, and per lane
+    its closure ordinal: the least stage at which the lane's slice of it
+    is stable, which on that lane's frame ``least_stable_stage`` gives.
+
+    The batch is a one-shot domain, so the run is not kept.
+    """
+    prog = _program(eqf.system)
+    stages, _ = _stages(prog, batch, tuple(_leaves(prog, batch, {})))
+    i = eqf.system.vars.index(eqf.init)
+    ordinals = [0] * batch.lanes
+    for a in range(1, len(stages)):
+        # the slices only grow, so the last stage that changes one is its least stable stage
+        for lane in batch.lanes_of(stages[a][i] ^ stages[a - 1][i]):
+            ordinals[lane] = a
+    return stages[-1][i], ordinals
 
 
 def first_stages(

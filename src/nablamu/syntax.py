@@ -581,9 +581,10 @@ class EquationSystem:
     equation system).  Bodies are stored as given (box/dia nodes are
     kept and count as guards); variable order is the declaration
     order.  ``_program`` holds the compiled stage program of
-    ``nablamu.semantics``, set on first evaluation."""
+    ``nablamu.semantics``, set on first evaluation, and ``_closure`` the
+    closure, set on the first call of ``closure``."""
 
-    __slots__ = ("vars", "_eqs", "_program")
+    __slots__ = ("vars", "_eqs", "_program", "_closure")
 
     def __init__(self, equations: Union[Mapping[str, Formula], Iterable[Tuple[str, Formula]]]):
         if isinstance(equations, Mapping):
@@ -688,14 +689,21 @@ class EquationalFormula:
 def closure(sys: EquationSystem) -> FrozenSet[Formula]:
     """Smallest set containing every E(x), closed under taking members of
     and/or/nab argument sets (box/dia arguments likewise) and the single
-    unfolding of closed mu/nu subformulas."""
+    unfolding of closed mu/nu subformulas.  Computed once and kept on
+    the system."""
+    try:
+        return sys._closure
+    except AttributeError:
+        pass
 
     def kids(f: Formula) -> Iterable[Formula]:
         if isinstance(f, (Mu, Nu)):
             return (substitute(f.body, f.var, f),)
         return _children(f)
 
-    return frozenset(_postorder([sys.eq(x) for x in sys.vars], kids))
+    clos = frozenset(_postorder([sys.eq(x) for x in sys.vars], kids))
+    object.__setattr__(sys, "_closure", clos)
+    return clos
 
 
 def size(sys: EquationSystem) -> int:

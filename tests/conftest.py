@@ -1,7 +1,8 @@
 """Shared fixtures: the system corpus, seeded random generators, the
-recursive reference evaluator, and the annotated descent spines used by
-the repetition-pair and pump tests."""
+recursive reference evaluator, the per-frame reference oracle, and the
+annotated descent spines used by the repetition-pair and pump tests."""
 
+import zlib
 from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -31,6 +32,8 @@ from nablamu import (
     cover,
     dia,
     disj,
+    enumerate_frames,
+    format_system,
     free_vars,
     neg,
     parse_formula,
@@ -40,7 +43,9 @@ from nablamu import (
     to_equational,
     var,
 )
+from nablamu.normalform import _prop_names
 from nablamu.pump import AnnotatedTree
+from nablamu.semantics import least_stable_stage
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -124,6 +129,44 @@ def _ref_eval(index: FrameIndex, f: Formula, env: Mapping[str, int],
                 return cur
             cur = nxt
     raise TypeError(f"cannot evaluate {type(f).__name__}")
+
+
+def ref_oracle(eqf: EquationalFormula, out: EquationalFormula,
+               exhaustive_max: int = 3, random_count: int = 500):
+    """The per-frame reference oracle: ``(closure_ordinals, mismatches)``
+    of ``to_conjunctive``'s report for input ``eqf`` and output ``out``,
+    one ``Frame`` and one ``FrameIndex`` per oracle frame."""
+    mismatches = []
+    ordinals = []
+    for label, fr in _ref_oracle_frames(eqf, exhaustive_max, random_count):
+        index = FrameIndex(fr)
+        want, co_in = _init_mask_and_stage(eqf, index)
+        got, co_out = _init_mask_and_stage(out, index)
+        ordinals.append((label, co_in, co_out))
+        if want != got:
+            mismatches.append((
+                label,
+                tuple(sorted(index.unmask(want))),
+                tuple(sorted(index.unmask(got))),
+            ))
+    return tuple(ordinals), tuple(mismatches)
+
+
+def _init_mask_and_stage(eqf: EquationalFormula, index: FrameIndex) -> Tuple[int, int]:
+    final, stage = least_stable_stage(eqf.system, index, eqf.init)
+    return final[eqf.init], stage
+
+
+def _ref_oracle_frames(eqf: EquationalFormula, exhaustive_max: int, random_count: int):
+    prop_tuple = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
+    for i, fr in enumerate(enumerate_frames(exhaustive_max, prop_tuple)):
+        yield f"E{len(fr.states)}#{i}", fr
+    seed = zlib.crc32(format_system(eqf).encode())
+    probs = (0.15, 0.3, 0.5, 0.7)
+    for i in range(random_count):
+        fr = random_frame(1 + i % 8, edge_prob=probs[i % 4],
+                          props=prop_tuple, seed=seed + i)
+        yield f"R#{i}", fr
 
 
 def corpus_systems() -> List[Tuple[str, EquationalFormula]]:

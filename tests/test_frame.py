@@ -1,6 +1,7 @@
 """Kripke frames, tree frames, the generator zoo, and the file formats."""
 
 import itertools
+from random import Random
 
 import pytest
 
@@ -28,6 +29,7 @@ from nablamu import (
     tree_canonical_form,
     unravel,
 )
+from nablamu.frame import _random_draws
 
 
 # ---------------------------------------------------------------- basics
@@ -111,6 +113,24 @@ def test_random_frame_is_seed_deterministic():
     assert a.states == b.states and a.edges == b.edges and a.labels == b.labels
     assert (a.edges, a.labels) != (c.edges, c.labels)
     assert len(a.states) == 6
+
+
+def test_random_frame_is_rebuilt_from_its_position_draws():
+    for size in range(1, 9):
+        for prob in (0.15, 0.3, 0.5, 0.7):
+            for props in ((), ("p",), ("p", "q"), ("p", "q", "r")):
+                seed = 1000 * size + int(100 * prob) + len(props)
+                frame = random_frame(size, edge_prob=prob, props=props, seed=seed)
+                # the draws by state name, one edge pair after the other,
+                # then one label draw per proposition and state
+                rng = Random(seed)
+                states = [f"s{i}" for i in range(size)]
+                edges = [(a, b) for a in states for b in states if rng.random() < prob]
+                labels = {p: [s for s in states if rng.random() < 0.5] for p in props}
+                assert frame == Frame(states, edges, labels)
+                cells, members = _random_draws(size, prob, len(props), seed)
+                assert frame == Frame(states, [(states[k // size], states[k % size]) for k in cells],
+                                      {p: [states[i] for i in ms] for p, ms in zip(props, members)})
 
 
 def test_random_frame_edge_probability_extremes():

@@ -1,24 +1,31 @@
 """Compilation of least-fixpoint formulas to equation systems and the
 conjunctive-shape rewriting with its semantic oracle."""
 
+import zlib
+
 import pytest
 
 from nablamu import (
+    Frame,
     NotSigmaFragment,
     TranslationFailure,
     TranslationReport,
     UnguardedVariable,
     desugar,
+    enumerate_frames,
     format_formula,
     format_system,
     is_conjunctive,
     parse_formula,
     parse_system,
+    random_frame,
     to_conjunctive,
     to_equational,
 )
+from nablamu import normalform
+from nablamu.normalform import _oracle_batches
 
-from conftest import corpus_formulas, full_corpus
+from conftest import corpus_formulas, full_corpus, ref_oracle
 
 
 # ------------------------------------------------- formula -> equations
@@ -197,3 +204,75 @@ def test_formula_corpus_round_trips_through_both_stages():
         out, report = to_conjunctive(eqf, exhaustive_max=2, random_count=30)
         assert is_conjunctive(out.system), name
         assert report.mismatches == (), name
+
+
+# ------------------------------------------------------- the batched oracle
+
+def test_oracle_report_matches_the_per_frame_reference():
+    corpus = dict(full_corpus())
+    for name, eqf in corpus.items():
+        out, report = to_conjunctive(eqf, exhaustive_max=2, random_count=40)
+        ordinals, mismatches = ref_oracle(eqf, out, exhaustive_max=2, random_count=40)
+        assert (report.closure_ordinals, mismatches) == (ordinals, ()), name
+        assert report.frames_checked == len(ordinals), name
+    # a closed mu leaf, three variables over two propositions, and a
+    # tower over two propositions, on the default sweep
+    for name in ("closed_mu_leaf", "threevar_ring", "czarnecki_2"):
+        eqf = corpus[name]
+        out, report = to_conjunctive(eqf)
+        ordinals, mismatches = ref_oracle(eqf, out)
+        assert (report.closure_ordinals, mismatches) == (ordinals, ()), name
+        assert report.frames_checked == len(ordinals), name
+
+
+def test_oracle_mismatches_match_the_per_frame_reference(monkeypatch):
+    # a conjunctive but non-equivalent rewrite: p alone no longer suffices
+    eqf = parse_system("system\ninit: x\nx = or{and{p, q}, p, nab{x}}\n")
+    wrong = parse_system("system\ninit: x\nx = or{q, nab{x}}\n")
+    monkeypatch.setattr(normalform._Conjunctivizer, "run", lambda self: wrong)
+    for sweep in ({"exhaustive_max": 2, "random_count": 40}, {}):
+        ordinals, mismatches = ref_oracle(eqf, wrong, **sweep)
+        assert mismatches
+        with pytest.raises(TranslationFailure) as err:
+            to_conjunctive(eqf, **sweep)
+        assert str(err.value) == (f"translation disagrees with input on {len(mismatches)} of "
+                                  f"{len(ordinals)} oracle frames")
+        assert err.value.mismatches == mismatches
+
+
+def _lane_frame(batch, lane):
+    """The frame in one lane of a batch, read off its ``dia`` step and
+    its proposition masks."""
+    n, lanes = batch.n, batch.lanes
+    states = [f"s{i}" for i in range(n)]
+    edges = [(states[i], states[j]) for i in range(n) for j in range(n)
+             if batch.dia(1 << j * lanes + lane) >> i * lanes + lane & 1]
+    labels = {p: [states[i] for i in range(n) if m >> i * lanes + lane & 1]
+              for p, m in batch.prop_mask.items()}
+    return Frame(states, edges, labels)
+
+
+def test_oracle_lanes_are_the_oracle_frames():
+    probs = (0.15, 0.3, 0.5, 0.7)
+    for name, eqf in full_corpus():
+        if name not in ("nab_self", "or_p_nab", "twovar_handoff"):  # 0, 1 and 2 propositions
+            continue
+        props = tuple(sorted(normalform._prop_names(b for _, b in eqf.system.equations)))
+        seed = zlib.crc32(format_system(eqf).encode())
+        exhaustive = list(enumerate_frames(2, props))
+        labels, batches = _oracle_batches(eqf, 2, 40)
+        assert len(labels) == len(exhaustive) + 40
+        seen = []
+        for batch, where in batches:
+            for lane, k in enumerate(where):
+                label = labels[k]
+                if label.startswith("E"):
+                    fr = exhaustive[k]
+                    assert label == f"E{len(fr.states)}#{k}"
+                else:
+                    i = int(label[2:])
+                    assert label == f"R#{k - len(exhaustive)}"
+                    fr = random_frame(1 + i % 8, edge_prob=probs[i % 4], props=props, seed=seed + i)
+                assert _lane_frame(batch, lane) == fr, (name, label)
+                seen.append(k)
+        assert sorted(seen) == list(range(len(labels)))

@@ -41,7 +41,7 @@ from nablamu import (
     to_equational,
     var,
 )
-from nablamu.semantics import first_stages, least_stable_stage
+from nablamu.semantics import FrameBatch, first_stages, least_stable_stage
 from nablamu.syntax import Var, _postorder
 
 from conftest import FORMULA_CORPUS, full_corpus, random_instance, ref_eval, two_variable_corpus
@@ -425,6 +425,49 @@ def test_box_and_nab_on_candidates_are_the_full_step_restricted():
             assert idx.nab([], at) == idx.nab([]) & at
         assert idx.box(0, idx.full) == idx.box(0)
         assert idx.nab([], 0) == 0 and idx.box(idx.full, 0) == 0
+
+
+# ------------------------------------------------------ the lane batch's steps
+
+def _pack(masks, n):
+    """Per-lane n-bit masks as one batch mask: bit i * lanes + f is
+    state i of lane f."""
+    lanes = len(masks)
+    return sum(1 << i * lanes + f for f, m in enumerate(masks) for i in range(n) if m >> i & 1)
+
+
+def _lane(m, n, lanes, f):
+    """Lane f's slice of a batch mask as an n-bit mask."""
+    return sum(1 << i for i in range(n) if m >> i * lanes + f & 1)
+
+
+def test_batch_modal_steps_match_the_frame_index_per_lane():
+    rng = Random(12)
+    for n in range(1, 9):
+        cells = range(n * n)
+        # all edges, no edges (every state a deadlock), self-loops only,
+        # then random frames with both
+        draws = [list(cells), [], [i * n + i for i in cells[:n]]]
+        draws += [[k for k in cells if rng.random() < p] for p in (0.15, 0.3, 0.5, 0.7) for _ in range(3)]
+        batch = FrameBatch(n, [(edges, ()) for edges in draws], ())
+        states = [f"s{i}" for i in range(n)]
+        indexes = [FrameIndex(Frame(states, [(states[k // n], states[k % n]) for k in edges]))
+                   for edges in draws]
+        lanes = len(draws)
+        assert (batch.n, batch.lanes, batch.full) == (n, lanes, _pack([(1 << n) - 1] * lanes, n))
+        for _ in range(12):
+            masks = [[rng.getrandbits(n) for _ in draws] for _ in range(3)]
+            at = [rng.getrandbits(n) for _ in draws]
+            packed = [_pack(ms, n) for ms in masks]
+            for f, index in enumerate(indexes):
+                def lane(m):
+                    return _lane(m, n, lanes, f)
+                assert lane(batch.dia(packed[0])) == index.dia(masks[0][f])
+                for whole, own in ((None, None), (_pack(at, n), at[f])):
+                    assert lane(batch.box(packed[0], whole)) == index.box(masks[0][f], own)
+                    for k in range(4):  # nab{} up to three members
+                        got = batch.nab(packed[:k], whole)
+                        assert lane(got) == index.nab([ms[f] for ms in masks[:k]], own), (n, f, k)
 
 
 # -------------------------------------------------------- closure ordinals

@@ -402,6 +402,12 @@ def test_walks_on_a_closed_mu_ten_thousand_deep():
     assert len(closure(system)) == size(system) == 2 * 10_000 + 6
 
 
+def test_closure_is_computed_once_per_system():
+    system = EquationSystem([("x", disj(cover(var("x")), deep_closed_mu(50)))])
+    first = closure(system)
+    assert closure(system) is first
+
+
 # ------------------------------------------------------- equation systems
 
 def chain_reach():

@@ -7,6 +7,8 @@ the combinatorics behind per-frame closure ordinals, and a verified
 translation brings systems into conjunctive shape.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ordinal import (
     NoPredecessor,
     OMEGA,
@@ -139,4 +141,6 @@ from .normalform import (
     to_equational,
 )
 
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

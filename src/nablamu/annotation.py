@@ -16,8 +16,9 @@ least approximation stage at every state.  It is read off the
 first-stage table of the system's cached stage run on the frame
 (``semantics.first_stages``), in which every closure formula has a
 slot, so ``conservative`` and ``verify_conservative`` share one run of
-the stages.  The checker reads a closed formula's truth from the same
-table, as its stage-0 mask; this module evaluates no formula itself.
+the stages and one read-out of it, ``_least_stages``.  The checker
+reads a closed formula's truth from the same table, as its stage-0
+mask; this module evaluates no formula itself.
 From a conservative annotation over a tree, ``extract_relevant`` carves
 out a relevant part: a sub-annotation recording one reason per state
 for the designated variable to hold at the root, duplicating successors
@@ -28,9 +29,8 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .ordinal import Ordinal, ZERO, OrdinalParseError
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
@@ -151,8 +151,7 @@ class Annotation:
         return f"<Annotation {count} entries over {len(self.frame.states)} states>"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single failed clause, located at a state and an entry."""
 
     state: str
@@ -284,16 +283,13 @@ def check_well_annotation(
     return out
 
 
-def conservative(system: EquationSystem, frame: Frame) -> Annotation:
-    """Annotate every satisfied closure formula with its least stage.
-
-    The stages are read off the first-stage table of the system's stage
-    run on the frame, where every closure formula has a slot.
-    """
-    index = frame_index(frame)
-    table = first_stages(system, index)
+def _least_stages(system: EquationSystem, frame: Frame) -> Dict[str, Dict[Formula, Ordinal]]:
+    """State -> {satisfied closure formula: its least stage there}, read
+    off the first-stage table of the system's stage run on the frame,
+    where every closure formula has a slot."""
+    table = first_stages(system, frame_index(frame))
     states = frame.states
-    entries: Dict[str, Set[AnnEntry]] = {s: set() for s in states}
+    least: Dict[str, Dict[Formula, Ordinal]] = {s: {} for s in states}
     stage: Dict[int, Ordinal] = {}
     for f in closure(system):
         for a, new in table[f]:
@@ -302,9 +298,14 @@ def conservative(system: EquationSystem, frame: Frame) -> Annotation:
                 alpha = stage[a] = Ordinal.natural(a)
             while new:
                 low = new & -new
-                entries[states[low.bit_length() - 1]].add((f, alpha))
+                least[states[low.bit_length() - 1]][f] = alpha
                 new ^= low
-    return Annotation(frame, entries)
+    return least
+
+
+def conservative(system: EquationSystem, frame: Frame) -> Annotation:
+    """Annotate every satisfied closure formula with its least stage."""
+    return Annotation(frame, _least_stages(system, frame))
 
 
 def verify_conservative(
@@ -317,14 +318,13 @@ def verify_conservative(
         raise ValueError("annotation belongs to a different frame")
     frame = theta.frame
     _closure_or_raise(theta, system)
-    reference = conservative(system, frame)
+    reference = _least_stages(system, frame)
     out: List[Violation] = []
     for s in frame.states:
-        ann = theta.at(s)
         by_formula: Dict[Formula, List[Ordinal]] = {}
-        for f, a in ann:
+        for f, a in theta.at(s):
             by_formula.setdefault(f, []).append(a)
-        ref = {f: a for f, a in reference.at(s)}
+        ref = reference[s]
         for f in sorted(by_formula, key=sort_key):
             stages = sorted(by_formula[f])
             if len(stages) > 1:
@@ -342,7 +342,7 @@ def verify_conservative(
                     out.append(Violation(
                         s, "D3.2-2", f, a, f"least stage here is {ref[f]}"
                     ))
-        for f, a in sorted(reference.at(s), key=_entry_key):
+        for f, a in sorted(ref.items(), key=_entry_key):
             if f not in by_formula:
                 out.append(Violation(
                     s, "D3.2-2", f, a,

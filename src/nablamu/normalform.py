@@ -11,8 +11,9 @@ aborts the translation rather than shipping a wrong normal form.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
 per state count: the exhaustive frames are packed once per (max states,
-propositions) and kept, the random frames are drawn straight into lanes
-on every call with the draws of ``random_frame``.  Each batch is one
+propositions), and the last few packings are kept without the closed
+leaves of any call; the random frames are drawn straight into lanes on
+every call with the draws of ``random_frame``.  Each batch is one
 stage run per system; input and output agree when the two stable masks
 are equal, and only the differing lanes are unpacked for the report.
 """
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .syntax import (
     BigAnd,
@@ -77,8 +78,7 @@ class TranslationFailure(ValueError):
         self.mismatches = tuple(mismatches)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     """Provenance and oracle verdict for one conjunctive translation."""
 
     input: EquationalFormula
@@ -480,23 +480,19 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-_EXHAUSTIVE_CACHE: Dict[Tuple[int, Tuple[str, ...]], Tuple[FrameBatch, ...]] = {}
-
-
+@lru_cache(maxsize=8)
 def _exhaustive_batches(max_states: int, props: Tuple[str, ...]) -> Tuple[FrameBatch, ...]:
     """The exhaustive frames up to ``max_states`` states, one lane batch
-    per state count, packed once per (max states, propositions)."""
-    key = (max_states, props)
-    if key not in _EXHAUSTIVE_CACHE:
-        groups: Dict[int, list] = {}
-        for fr in enumerate_frames(max_states, props):
-            n = len(fr.states)
-            pos = {s: i for i, s in enumerate(fr.states)}
-            groups.setdefault(n, []).append((
-                [pos[a] * n + pos[b] for a, b in fr.edges],
-                [[pos[s] for s in fr.label_states(p)] for p in props]))
-        _EXHAUSTIVE_CACHE[key] = tuple(FrameBatch(n, frames, props) for n, frames in groups.items())
-    return _EXHAUSTIVE_CACHE[key]
+    per state count, packed once per (max states, propositions) and kept
+    for the last few such pairs."""
+    groups: Dict[int, list] = {}
+    for fr in enumerate_frames(max_states, props):
+        n = len(fr.states)
+        pos = {s: i for i, s in enumerate(fr.states)}
+        groups.setdefault(n, []).append((
+            [pos[a] * n + pos[b] for a, b in fr.edges],
+            [[pos[s] for s in fr.label_states(p)] for p in props]))
+    return tuple(FrameBatch(n, frames, props) for n, frames in groups.items())
 
 
 def _oracle_batches(
@@ -545,8 +541,11 @@ def to_conjunctive(
     ordinals: List = [None] * len(labels)
     found = []
     for batch, where in batches:
-        want, co_in = lane_closure_ordinals(eqf, batch)
-        got, co_out = lane_closure_ordinals(out, batch)
+        try:
+            want, co_in = lane_closure_ordinals(eqf, batch)
+            got, co_out = lane_closure_ordinals(out, batch)
+        finally:  # a kept batch must not keep this call's closed leaves
+            batch._closed.clear()
         for k, a, b in zip(where, co_in, co_out):
             ordinals[k] = (labels[k], a, b)
         if want != got:

@@ -6,12 +6,14 @@ range covers everything annotation bookkeeping needs: naturals, ``w.k``
 offsets and ``w^2``-sized headroom.  Multiplication is deliberately
 absent; only comparison, (non-commutative) addition, predecessor-part
 extraction and limit/successor classification are meaningful here.
+
+An ``Ordinal`` is the tuple of its (exponent, coefficient) terms, so
+equality, hashing and order are the tuple's; it never equals an int.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import total_ordering
 from typing import Iterable, Optional, Tuple
 
 __all__ = [
@@ -39,19 +41,22 @@ class OrdinalKind(enum.Enum):
     LIMIT = "limit"
 
 
-@total_ordering
-class Ordinal:
+class Ordinal(tuple):
     """An ordinal below omega^omega in Cantor normal form.
 
-    ``terms`` is a tuple of (exponent, coefficient) pairs, exponents
-    strictly decreasing, coefficients >= 1.  The empty tuple is zero.
+    The value is the tuple of its (exponent, coefficient) terms,
+    exponents strictly decreasing, coefficients >= 1; the empty tuple is
+    zero.  Equality, hashing, truth and order are the tuple's own: tuple
+    comparison of the terms coincides with ordinal order, since the
+    first differing term decides by exponent then coefficient, and a
+    proper prefix is the smaller ordinal.  An ordinal is not an int:
+    ``Ordinal.natural(3) == 3`` is False, and ``<`` against an int
+    raises TypeError.  Addition accepts ints (``OMEGA + 1``, ``1 + OMEGA``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    terms: Tuple[Tuple[int, int], ...]
-
-    def __init__(self, terms: Iterable[Tuple[int, int]] = ()):
+    def __new__(cls, terms: Iterable[Tuple[int, int]] = ()) -> "Ordinal":
         terms = tuple((int(e), int(c)) for e, c in terms)
         last_exp = None
         for e, c in terms:
@@ -62,10 +67,18 @@ class Ordinal:
             if last_exp is not None and e >= last_exp:
                 raise ValueError("exponents must strictly decrease")
             last_exp = e
-        object.__setattr__(self, "terms", terms)
+        return super().__new__(cls, terms)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Ordinal is immutable")
+    @property
+    def terms(self) -> Tuple[Tuple[int, int], ...]:
+        """The (exponent, coefficient) terms as a plain tuple."""
+        return tuple(self)
+
+    def __mul__(self, other):
+        """Multiplication is absent, not the tuple's repetition."""
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # -- constructors ------------------------------------------------
 
@@ -87,31 +100,6 @@ class Ordinal:
             raise ValueError("coefficient must be non-negative")
         return cls(((1, k),)) if k else cls()
 
-    # -- comparison ---------------------------------------------------
-    # Tuple comparison of the term sequences coincides with ordinal
-    # order: the first differing term decides by exponent then
-    # coefficient, and a proper prefix is the smaller ordinal.
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal.natural(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal.natural(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms < other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Ordinal":
@@ -120,14 +108,14 @@ class Ordinal:
             other = Ordinal.natural(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if not other.terms:
+        if not other:
             return self
-        head_exp, head_coeff = other.terms[0]
-        kept = [t for t in self.terms if t[0] > head_exp]
-        if self.terms and len(kept) < len(self.terms) and self.terms[len(kept)][0] == head_exp:
-            merged = (head_exp, self.terms[len(kept)][1] + head_coeff)
-            return Ordinal(tuple(kept) + (merged,) + other.terms[1:])
-        return Ordinal(tuple(kept) + other.terms)
+        head_exp, head_coeff = other[0]
+        kept = tuple(t for t in self if t[0] > head_exp)
+        if len(kept) < len(self) and self[len(kept)][0] == head_exp:
+            merged = (head_exp, self[len(kept)][1] + head_coeff)
+            return Ordinal(kept + (merged,) + other[1:])
+        return Ordinal(kept + other.terms)
 
     def __radd__(self, other) -> "Ordinal":
         if isinstance(other, int):
@@ -141,10 +129,10 @@ class Ordinal:
         this deletes the last summand: the last coefficient decrements,
         and the term disappears at zero.
         """
-        if not self.terms:
+        if not self:
             raise NoPredecessor("zero has no predecessor part")
-        head = self.terms[:-1]
-        e, c = self.terms[-1]
+        head = self[:-1]
+        e, c = self[-1]
         if c > 1:
             return Ordinal(head + ((e, c - 1),))
         return Ordinal(head)
@@ -152,22 +140,22 @@ class Ordinal:
     @property
     def last_exponent(self) -> int:
         """The eta with self = pred(self) + w^eta."""
-        if not self.terms:
+        if not self:
             raise NoPredecessor("zero has no last term")
-        return self.terms[-1][0]
+        return self[-1][0]
 
     # -- classification -----------------------------------------------
 
     def kind(self) -> OrdinalKind:
-        if not self.terms:
+        if not self:
             return OrdinalKind.ZERO
-        if self.terms[-1][0] == 0:
+        if self[-1][0] == 0:
             return OrdinalKind.SUCCESSOR
         return OrdinalKind.LIMIT
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     @property
     def is_successor(self) -> bool:
@@ -179,22 +167,22 @@ class Ordinal:
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
+        return not self or (len(self) == 1 and self[0][0] == 0)
 
     def to_int(self) -> int:
         """The value as a Python int; only finite ordinals qualify."""
-        if not self.terms:
+        if not self:
             return 0
         if not self.is_finite:
             raise ValueError(f"{self} is infinite")
-        return self.terms[0][1]
+        return self[0][1]
 
     # -- text ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
-        return "+".join(_term_text(e, c) for e, c in self.terms)
+        return "+".join(_term_text(e, c) for e, c in self)
 
     def __repr__(self) -> str:
         return f"Ordinal({self})"

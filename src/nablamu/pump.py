@@ -14,8 +14,7 @@ stripped root profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .ordinal import Ordinal, OMEGA, ZERO
 from .syntax import EquationSystem, Formula, Nabla, Var, format_formula, size, sort_key
@@ -89,8 +88,7 @@ class AnnotatedTree:
         return f"<AnnotatedTree {len(self.tree.states)} states, root {self.tree.root!r}>"
 
 
-@dataclass(frozen=True)
-class RepetitionPair:
+class RepetitionPair(NamedTuple):
     """Two same-profile limit states on a branch, annotation descending."""
 
     companion: str
@@ -107,13 +105,11 @@ class RepetitionPair:
         )
 
 
-@dataclass(frozen=True)
-class PairFound:
+class PairFound(NamedTuple):
     pair: RepetitionPair
 
 
-@dataclass(frozen=True)
-class HypothesisUnmet:
+class HypothesisUnmet(NamedTuple):
     reason: str
 
 
@@ -280,8 +276,7 @@ def pump(t: AnnotatedTree, state: str, donor: AnnotatedTree) -> AnnotatedTree:
     )
 
 
-@dataclass(frozen=True)
-class BoundEstimate:
+class BoundEstimate(NamedTuple):
     """A family-realized lower bound; ``witnessed`` is False when no
     family member matched the requested profile (the 0 is then a flag,
     not evidence)."""
@@ -313,15 +308,15 @@ def family_root_bound(
     return BoundEstimate(best[0], True, best[1])
 
 
-@dataclass(frozen=True)
-class NotOptimal:
+class NotOptimal(NamedTuple):
     witness: int
     annotation: Ordinal
 
 
-@dataclass(frozen=True)
-class PossiblyOptimal:
-    pass
+class PossiblyOptimal(NamedTuple):
+    def __bool__(self) -> bool:
+        """A verdict, so truthy although it has no fields."""
+        return True
 
 
 def optimality(

@@ -454,3 +454,12 @@ def test_module_entry_point(files):
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = ("import sys, nablamu.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -276,3 +276,21 @@ def test_oracle_lanes_are_the_oracle_frames():
                 assert _lane_frame(batch, lane) == fr, (name, label)
                 seen.append(k)
         assert sorted(seen) == list(range(len(labels)))
+
+
+def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
+    # twenty systems with twenty different closed mu leaves over p
+    for k in range(1, 21):
+        eqf = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{p, " + "dia " * k + "y}}\n")
+        to_conjunctive(eqf, exhaustive_max=2, random_count=10)
+        batches = normalform._exhaustive_batches(2, ("p",))
+        assert batches and not any(b._closed for b in batches), k
+    assert normalform._exhaustive_batches(2, ("p",)) is batches
+    info = normalform._exhaustive_batches.cache_info()
+    assert 4 <= info.maxsize and info.currsize <= info.maxsize
+    # a failing translation leaves no closed leaves behind either
+    wrong = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{q, dia y}}\n")
+    monkeypatch.setattr(normalform._Conjunctivizer, "run", lambda self: wrong)
+    with pytest.raises(TranslationFailure):
+        to_conjunctive(eqf, exhaustive_max=2, random_count=10)
+    assert not any(b._closed for b in batches)

@@ -7,7 +7,9 @@ every unit that has a strictly larger unit somewhere to its right;
 comparison is plain tuple comparison; pred drops the last unit.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -204,3 +206,38 @@ def test_ordinals_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         o.terms = ()
     assert len({OMEGA, OMEGA + 0, OMEGA + 1}) == 2
+
+
+# ------------------------------------------------------- value contract
+
+def test_multiplication_is_absent():
+    for product in (lambda: OMEGA * 2, lambda: 2 * OMEGA, lambda: OMEGA * OMEGA):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            product()
+
+
+def test_pickle_and_copy_round_trips_give_ordinals():
+    for o in (ZERO, ONE, OMEGA + 3, Ordinal.single(2, 5)):
+        copies = [copy.copy(o), copy.deepcopy(o)]
+        copies += [pickle.loads(pickle.dumps(o, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is Ordinal and c == o and str(c) == str(o)
+
+
+def test_hash_and_terms_are_the_plain_tuple():
+    for o in ORDINALS:
+        assert type(o.terms) is tuple
+        assert hash(o) == hash(o.terms)
+
+
+def test_an_ordinal_is_not_an_int():
+    assert (Ordinal.natural(3) == 3) is False
+    assert Ordinal.natural(3) != 3 and ZERO != 0
+    for compare in (lambda: Ordinal.natural(3) < 3, lambda: 3 <= ONE, lambda: OMEGA > 1):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def test_no_attribute_can_be_set():
+    with pytest.raises(AttributeError):
+        OMEGA.stage = 1

@@ -9,137 +9,14 @@ translation brings systems into conjunctive shape.
 
 from types import ModuleType as _ModuleType
 
-from .ordinal import (
-    NoPredecessor,
-    OMEGA,
-    ONE,
-    Ordinal,
-    OrdinalParseError,
-    ZERO,
-)
-from .syntax import (
-    BigAnd,
-    BigOr,
-    Box,
-    Dia,
-    EquationSystem,
-    EquationalFormula,
-    FF,
-    Formula,
-    Mu,
-    Nabla,
-    NegProp,
-    NegatedVariable,
-    Nu,
-    OpenQuantifier,
-    ParseError,
-    Prop,
-    TT,
-    UnboundVariable,
-    UnguardedVariable,
-    Var,
-    box,
-    closure,
-    conj,
-    cover,
-    desugar,
-    dia,
-    disj,
-    format_formula,
-    format_system,
-    free_vars,
-    is_closed,
-    is_conjunctive,
-    mu,
-    neg,
-    nu,
-    parse_formula,
-    parse_system,
-    prop,
-    size,
-    substitute,
-    var,
-)
-from .frame import (
-    Frame,
-    FrameParseError,
-    InvalidParameter,
-    NotATree,
-    TreeFrame,
-    UnknownState,
-    chain,
-    czarnecki,
-    czarnecki_formula,
-    enumerate_frames,
-    format_frame,
-    frame_from_json,
-    frame_to_dot,
-    frame_to_json,
-    parse_frame,
-    random_frame,
-    tree_canonical_form,
-    unravel,
-)
-from .semantics import (
-    FrameIndex,
-    approx,
-    closure_ordinal_on,
-    denotation,
-    eval_formula,
-    frame_index,
-    iterate_stages,
-    sig_approx,
-    stabilize,
-)
-from .annotation import (
-    AnnEntry,
-    AnnSet,
-    Annotation,
-    AnnotationParseError,
-    ExtractionFailure,
-    ForeignFormula,
-    Violation,
-    annotation_from_json,
-    annotation_to_json,
-    box_set,
-    check_relevant,
-    check_well_annotation,
-    conservative,
-    dia_set,
-    extract_relevant,
-    format_annotation,
-    parse_annotation,
-    preceq,
-    preceq_annotation,
-    verify_conservative,
-)
-from .pump import (
-    AnnotatedTree,
-    BoundEstimate,
-    HypothesisUnmet,
-    NotATreeState,
-    NotOptimal,
-    PairFound,
-    PossiblyOptimal,
-    RepetitionPair,
-    RootSetMismatch,
-    annotated_subtree,
-    check_descent_hypothesis,
-    family_root_bound,
-    find_repetition_pairs,
-    limit_states,
-    optimality,
-    pair_to_json,
-    pump,
-    repetition_bound,
-)
-from .normalform import (
-    NotSigmaFragment,
-    TranslationFailure,
-    TranslationReport,
-    to_conjunctive,
-    to_equational,
-)
+from .ordinal import *
+from .syntax import *
+from .frame import *
+from .semantics import *
+from .annotation import *
+# binds nablamu.pump to the function, over the submodule of the same name
+from .pump import *
+from .normalform import *
 
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -29,8 +29,9 @@ limit.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple, Union)
+from collections.abc import Mapping
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from .ordinal import Ordinal, ZERO, OrdinalParseError
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
@@ -128,15 +129,6 @@ class Annotation:
         new = {s: set(ann) for s, ann in self._entries.items()}
         new.setdefault(state, set()).add(_coerce_entry((f, a)))
         return Annotation(self.frame, new)
-
-    def bumped(self, delta: Union[int, Ordinal]) -> "Annotation":
-        """Shift every stage up by a fixed ordinal (added on the right)."""
-        if isinstance(delta, int):
-            delta = Ordinal.natural(delta)
-        return Annotation(
-            self.frame,
-            {s: {(f, a + delta) for f, a in ann} for s, ann in self._entries.items()},
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Annotation):

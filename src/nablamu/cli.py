@@ -120,11 +120,6 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _want_dot(args: argparse.Namespace) -> None:
-    if args.format == "dot":
-        raise _UsageError(f"--format dot is not available for {args.verb!r}")
-
-
 def _violation_json(v: Violation) -> dict:
     return {
         "state": v.state,
@@ -214,7 +209,6 @@ def _annotated_dot(tree: TreeFrame, theta: Annotation, phi: Annotation) -> str:
 
 
 def _cmd_parse(args: argparse.Namespace) -> str:
-    _want_dot(args)
     f = parse_formula(args.formula, keep_sugar=True)
     if args.desugar:
         f = desugar(f)
@@ -223,16 +217,7 @@ def _cmd_parse(args: argparse.Namespace) -> str:
     return format_formula(f)
 
 
-def _cmd_desugar(args: argparse.Namespace) -> str:
-    _want_dot(args)
-    f = desugar(parse_formula(args.formula, keep_sugar=True))
-    if args.format == "json":
-        return json.dumps({"formula": format_formula(f)})
-    return format_formula(f)
-
-
 def _cmd_eval(args: argparse.Namespace) -> str:
-    _want_dot(args)
     frame = _load_frame(args.frame)
     if args.system:
         eqf = _load_system(args.system)
@@ -248,7 +233,6 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
 
 def _cmd_approx(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     alpha = Ordinal.parse(args.stage)
@@ -261,7 +245,6 @@ def _cmd_approx(args: argparse.Namespace) -> str:
 
 
 def _cmd_co(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     value = closure_ordinal_on(frame, eqf)
@@ -271,7 +254,6 @@ def _cmd_co(args: argparse.Namespace) -> str:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     theta = conservative(eqf.system, frame)
@@ -281,7 +263,6 @@ def _cmd_annotate(args: argparse.Namespace) -> str:
 
 
 def _cmd_check_ann(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     theta = _load_annotation(args.ann, frame, eqf.system.vars)
@@ -289,7 +270,6 @@ def _cmd_check_ann(args: argparse.Namespace) -> str:
 
 
 def _cmd_conservative_check(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     theta = _load_annotation(args.ann, frame, eqf.system.vars)
@@ -310,7 +290,6 @@ def _cmd_relevant(args: argparse.Namespace) -> str:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     tree = _load_tree(args.frame)
     theta = _load_annotation(args.theta, tree, eqf.system.vars)
@@ -343,7 +322,6 @@ def _cmd_pump(args: argparse.Namespace) -> str:
 
 
 def _cmd_conjunctive(args: argparse.Namespace) -> str:
-    _want_dot(args)
     eqf = _load_system(args.system)
     out, report = to_conjunctive(eqf, random_count=args.random_count)
     if args.format == "json":
@@ -393,9 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, func, dot: bool = False, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, dot=dot)
         p.add_argument("--format", choices=("text", "json", "dot"),
                        default="text", help="output rendering")
         p.add_argument("--output", help="write result to a file (atomic)")
@@ -406,8 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--desugar", action="store_true",
                    help="expand box/dia before printing")
 
-    p = add("desugar", _cmd_desugar, help="expand box/dia sugar in a formula")
+    p = add("desugar", _cmd_parse, help="expand box/dia sugar in a formula")
     p.add_argument("--formula", required=True)
+    p.set_defaults(desugar=True)
 
     p = add("eval", _cmd_eval, help="evaluate a formula or system on a frame")
     p.add_argument("--frame", required=True)
@@ -441,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True)
     p.add_argument("--ann", required=True)
 
-    p = add("relevant", _cmd_relevant,
+    p = add("relevant", _cmd_relevant, dot=True,
             help="extract a relevant part over a tree frame")
     p.add_argument("--system", required=True)
     p.add_argument("--frame", required=True)
@@ -455,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--phi", required=True)
 
-    p = add("pump", _cmd_pump, help="replace a branch by a donor annotated tree")
+    p = add("pump", _cmd_pump, dot=True,
+            help="replace a branch by a donor annotated tree")
     p.add_argument("--system", required=True)
     p.add_argument("--frame", required=True)
     p.add_argument("--theta", required=True)
@@ -471,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-count", type=int, default=500,
                    help="randomized oracle frames (default 500)")
 
-    p = add("gen", _cmd_gen, help="generate a frame")
+    p = add("gen", _cmd_gen, dot=True, help="generate a frame")
     p.add_argument("kind", choices=("chain", "czarnecki", "random"))
     p.add_argument("--k", type=int, help="chain length / tower width")
     p.add_argument("--n", type=int, help="tower height (czarnecki)")
@@ -492,6 +472,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if args.format == "dot" and not args.dot:
+            raise _UsageError(f"--format dot is not available for {args.verb!r}")
         text = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

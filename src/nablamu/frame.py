@@ -173,14 +173,7 @@ class TreeFrame(Frame):
             parent[b] = a
         if len(self.edges) != len(self.states) - 1:
             raise NotATree("a tree on n states has exactly n-1 edges")
-        seen = {root}
-        queue = [root]
-        while queue:
-            s = queue.pop()
-            for t in self._succ[s]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+        seen = self.subtree_states(root)
         if seen != self._state_set:
             missing = sorted(self._state_set - seen)
             raise NotATree(f"states unreachable from the root: {missing}")

@@ -59,8 +59,6 @@ __all__ = [
     "TranslationReport",
     "to_equational",
     "to_conjunctive",
-    "desugar",
-    "is_conjunctive",
 ]
 
 

@@ -33,9 +33,10 @@ ordinal off them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import compress, product
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ordinal import Ordinal
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationalFormula, EquationSystem,

@@ -37,7 +37,8 @@ guardedness per path.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from collections.abc import Mapping
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "Formula", "Prop", "NegProp", "Var", "BigAnd", "BigOr", "Nabla",

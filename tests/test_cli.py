@@ -11,6 +11,8 @@ import pytest
 
 from nablamu.cli import main
 
+from conftest import FORMULA_CORPUS
+
 # Child interpreters find the package in the source tree, installed or not.
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,6 +104,12 @@ def test_parse_json(capsys):
 def test_desugar_verb(capsys):
     code, out, _ = run(capsys, ["desugar", "--formula", "dia p"])
     assert (code, out) == (0, "and{nab{p}, nab{}}\n")
+    for text in FORMULA_CORPUS:
+        for fmt in ("text", "json"):
+            verb = run(capsys, ["desugar", "--formula", text, "--format", fmt])
+            flag = run(capsys, ["parse", "--formula", text, "--desugar",
+                                "--format", fmt])
+            assert verb == flag and verb[0] == 0, (text, fmt)
 
 
 def test_parse_error_exits_2(capsys):
@@ -177,6 +185,26 @@ def test_co_rejects_dot(capsys, files):
                                 "--format", "dot"])
     assert code == 2
     assert "--format dot is not available for 'co'" in err
+    # every verb registered without DOT rejects it the same way
+    system_frame = ["--system", files["sys"], "--frame", files["frame"]]
+    tree_anns = ["--system", files["spine"], "--frame", files["tree"],
+                 "--theta", files["ann"], "--phi", files["ann"]]
+    verbs = {
+        "parse": ["--formula", "p"],
+        "desugar": ["--formula", "p"],
+        "eval": ["--formula", "p", "--frame", files["frame"]],
+        "approx": system_frame + ["--stage", "1"],
+        "co": system_frame,
+        "annotate": system_frame,
+        "check-ann": system_frame + ["--ann", files["good"]],
+        "conservative-check": system_frame + ["--ann", files["good"]],
+        "pairs": tree_anns,
+        "conjunctive": ["--system", files["nab"], "--random-count", "1"],
+    }
+    for verb, argv in verbs.items():
+        code, out, err = run(capsys, [verb] + argv + ["--format", "dot"])
+        assert (code, out) == (2, ""), verb
+        assert err == f"error: --format dot is not available for '{verb}'\n"
 
 
 # ------------------------------------------------------------ annotations
@@ -259,6 +287,25 @@ def test_relevant_sections(capsys, files):
     assert lines[0] == "# tree"
     assert "# theta" in lines and "# phi" in lines
     assert "s0: nab{x} @ 2; or{nab{x}, p} @ 2; x @ 3;" in lines
+
+
+def test_relevant_dot_output(capsys, files):
+    code, out, _ = run(capsys, ["relevant", "--system", files["nab"],
+                                "--frame", files["frame"], "--format", "dot"])
+    assert code == 0
+    assert out.splitlines() == [
+        "digraph annotated {",
+        "  rankdir=TB;",
+        '  "s0" [shape=doublecircle, label="s0\\nnab{x} @ 2 *'
+        '\\nor{nab{x}, p} @ 2 *\\nx @ 3 *"];',
+        '  "s1" [shape=ellipse, label="s1\\nnab{x} @ 1 *'
+        '\\nor{nab{x}, p} @ 1 *\\nx @ 2 *"];',
+        '  "s2" [shape=ellipse, label="s2\\nnab{x} @ 0 *'
+        '\\nor{nab{x}, p} @ 0 *\\np @ 0 *\\nx @ 1 *"];',
+        '  "s0" -> "s1";',
+        '  "s1" -> "s2";',
+        "}",
+    ]
 
 
 def test_relevant_needs_a_tree(capsys, files):

@@ -70,9 +70,11 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from nablamu import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(nablamu.__all__)
-    # the package re-exports public names of its modules, and no module
+    # the package re-exports exactly the public names of its modules
     modules = ("ordinal", "syntax", "frame", "semantics", "annotation", "pump", "normalform")
     public = {name for m in modules for name in import_module(f"nablamu.{m}").__all__}
-    assert set(nablamu.__all__) <= public
+    assert set(nablamu.__all__) == public and len(public) == 123
+    # the package attribute is the function, not the submodule
+    assert nablamu.pump is import_module("nablamu.pump").pump
     assert {"Ordinal", "Violation", "TranslationReport", "PossiblyOptimal",
             "to_conjunctive", "conservative"} <= set(nablamu.__all__)

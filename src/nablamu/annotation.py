@@ -1,24 +1,39 @@
 """Ordinal-annotated formula sets over frame states.
 
 An annotation attaches to each state a finite set of pairs (closure
-formula, ordinal).  The validity checker enforces the local clauses
-that make an annotation a witness for membership in the approximation
-stages: closed formulas must hold outright, a variable entry at stage a
-needs its right-hand side strictly below a, a disjunction needs one
-disjunct at or below its stage, a conjunction needs all conjuncts at or
-below its stage, and a cover needs each successor to match the member
-set or some single member to cover all successors.  Each clause asks
-only whether a formula is annotated at or (strictly) below a stage, so
-the checker compares against each state's least stage per formula.
+formula, ordinal).  It is held as one table, formula -> ((stage,
+mask), ...): the stages in increasing order, each once, with the
+nonempty mask of the states (bit i for ``frame.states[i]``) that carry
+the formula at that stage.  That is the shape of the first-stage table
+of a stage run (``semantics.first_stages``).  The per-state view that
+``at``, ``items``, ``stripped`` and the text and JSON forms read is
+derived from the table once and kept on the annotation.
+
+The validity checker enforces the local clauses that make an
+annotation a witness for membership in the approximation stages:
+closed formulas must hold outright, a variable entry at stage a needs
+its right-hand side strictly below a, a disjunction needs one disjunct
+at or below its stage, a conjunction needs all conjuncts at or below
+its stage, and a cover needs each successor to match the member set or
+some single member to cover all successors.  Each clause asks only
+whether a formula is annotated at or (strictly) below a stage.  With
+L_g(a) the states that carry g at some stage at or below a (a prefix
+union of g's masks), each clause is one mask test on the mask M of an
+entry (f, a): ``or`` needs M within the union of the disjuncts' L(a),
+``and`` within their intersection, a variable within L_body(< a),
+``nab``/``box`` within ``FrameIndex.nab``/``box`` of the members'
+L(a) at M, and ``dia`` none of M's states with all successors outside
+L_arg(a).  Violations are built from the failing states only.
 
 The conservative annotation assigns every satisfied closure formula its
-least approximation stage at every state.  It is read off the
-first-stage table of the system's cached stage run on the frame
-(``semantics.first_stages``), in which every closure formula has a
-slot, so ``conservative`` and ``verify_conservative`` share one run of
-the stages and one read-out of it, ``_least_stages``.  The checker
-reads a closed formula's truth from the same table, as its stage-0
-mask; this module evaluates no formula itself.
+least approximation stage at every state.  It wraps the first-stage
+table of the system's cached stage run on the frame, in which every
+closure formula has a slot, so ``conservative`` and
+``verify_conservative`` share one run of the stages and one read-out of
+it, ``_least_table``; ``verify_conservative`` compares tables formula by
+formula and expands only the formulas that differ.  The checker reads a
+closed formula's truth from the same run, as its stage-0 mask; this
+module evaluates no formula itself.
 From a conservative annotation over a tree, ``extract_relevant`` carves
 out a relevant part: a sub-annotation recording one reason per state
 for the designated variable to hold at the root, duplicating successors
@@ -29,16 +44,17 @@ limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .ordinal import Ordinal, ZERO, OrdinalParseError
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
                      NegatedVariable, ParseError, UnboundVariable, Var, closure,
-                     format_formula, free_vars, is_closed, parse_formula, sort_key)
+                     format_formula, is_closed, parse_formula, sort_key)
 from .frame import Frame, TreeFrame, UnknownState
-from .semantics import first_stages, frame_index
+from .semantics import FrameIndex, first_stages, frame_index
 
 __all__ = [
     "AnnEntry",
@@ -65,6 +81,9 @@ __all__ = [
 
 AnnEntry = Tuple[Formula, Ordinal]
 AnnSet = FrozenSet[AnnEntry]
+# formula -> ((stage, state mask), ...), stages increasing and distinct,
+# masks nonempty
+AnnTable = Dict[Formula, Tuple[Tuple[Ordinal, int], ...]]
 
 
 class ForeignFormula(ValueError):
@@ -94,52 +113,120 @@ def _entry_key(entry: AnnEntry):
     return (sort_key(entry[0]), entry[1])
 
 
-class Annotation:
-    """A per-state finite set of (formula, ordinal) pairs over a frame."""
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of m, lowest first.  A set-bit walk,
+    not a scan of the binary text: one stage's mask is sparse on deep
+    frames."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
-    __slots__ = ("frame", "_entries")
+
+def _table_of(frame: Frame, view: Mapping[str, Iterable[AnnEntry]]) -> AnnTable:
+    """The table of per-state entry sets over the frame's states."""
+    acc: Dict[Formula, Dict[Ordinal, int]] = {}
+    for i, s in enumerate(frame.states):
+        ann = view.get(s)
+        if ann:
+            bit = 1 << i
+            for f, a in ann:
+                stages = acc.get(f)
+                if stages is None:
+                    stages = acc[f] = {}
+                stages[a] = stages.get(a, 0) | bit
+    return {f: tuple(sorted(stages.items())) for f, stages in acc.items()}
+
+
+class Annotation:
+    """A per-state finite set of (formula, ordinal) pairs over a frame,
+    held as the table formula -> ((stage, state mask), ...)."""
+
+    __slots__ = ("frame", "_table", "_view", "_stripped")
 
     def __init__(self, frame: Frame, entries: Mapping[str, Iterable]) -> None:
-        table: Dict[str, AnnSet] = {}
+        view: Dict[str, AnnSet] = {}
         for s, pairs in entries.items():
             frame.require(s)
             if isinstance(pairs, Mapping):
                 pairs = pairs.items()
             ann = frozenset(_coerce_entry(e) for e in pairs)
             if ann:
-                table[s] = ann
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_entries", table)
+                view[s] = ann
+        self._fill(frame, _table_of(frame, view), view)
+
+    def _fill(self, frame: Frame, table: AnnTable, view: Optional[Dict[str, AnnSet]]) -> None:
+        init = object.__setattr__
+        init(self, "frame", frame)
+        init(self, "_table", table)
+        init(self, "_view", view)
+        init(self, "_stripped", {})
+
+    @classmethod
+    def _of(cls, frame: Frame, table: AnnTable,
+            view: Optional[Dict[str, AnnSet]] = None) -> "Annotation":
+        """The annotation of a table, and of its per-state view if known,
+        both trusted as they are."""
+        self = object.__new__(cls)
+        self._fill(frame, table, view)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Annotation objects are immutable")
 
+    def _states(self) -> Dict[str, AnnSet]:
+        """The per-state view, derived from the table on first use."""
+        view = self._view
+        if view is None:
+            states = self.frame.states
+            acc: Dict[str, List[AnnEntry]] = {}
+            for f, pairs in self._table.items():
+                for a, m in pairs:
+                    entry = (f, a)
+                    for i in _bits(m):
+                        bucket = acc.get(states[i])
+                        if bucket is None:
+                            acc[states[i]] = [entry]
+                        else:
+                            bucket.append(entry)
+            view = {s: frozenset(ann) for s, ann in acc.items()}
+            object.__setattr__(self, "_view", view)
+        return view
+
     def at(self, state: str) -> AnnSet:
         self.frame.require(state)
-        return self._entries.get(state, frozenset())
+        return self._states().get(state, frozenset())
 
     def stripped(self, state: str) -> FrozenSet[Formula]:
-        return frozenset(f for f, _ in self.at(state))
+        formulas = self._stripped.get(state)
+        if formulas is None:
+            formulas = self._stripped[state] = frozenset(f for f, _ in self.at(state))
+        return formulas
 
     def items(self) -> Iterable[Tuple[str, AnnSet]]:
+        view = self._states()
         for s in self.frame.states:
-            yield s, self.at(s)
+            yield s, view.get(s, frozenset())
 
     def with_entry(self, state: str, f: Formula, a: Union[int, Ordinal]) -> "Annotation":
-        new = {s: set(ann) for s, ann in self._entries.items()}
-        new.setdefault(state, set()).add(_coerce_entry((f, a)))
-        return Annotation(self.frame, new)
+        f, a = _coerce_entry((f, a))
+        bit = 1 << self.frame.states.index(self.frame.require(state))
+        stages = dict(self._table.get(f, ()))
+        stages[a] = stages.get(a, 0) | bit
+        table = dict(self._table)
+        table[f] = tuple(sorted(stages.items()))
+        return Annotation._of(self.frame, table)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Annotation):
             return NotImplemented
-        return self.frame == other.frame and self._entries == other._entries
+        return self.frame == other.frame and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash((self.frame, frozenset(self._entries.items())))
+        return hash((self.frame, frozenset(self._table.items())))
 
     def __repr__(self) -> str:
-        count = sum(len(a) for a in self._entries.values())
+        count = sum(bin(m).count("1") for pairs in self._table.values() for _, m in pairs)
         return f"<Annotation {count} entries over {len(self.frame.states)} states>"
 
 
@@ -171,6 +258,30 @@ def _least(ann: AnnSet) -> Dict[Formula, Ordinal]:
     return least
 
 
+def _cumulative(table: AnnTable) -> Tuple[Callable[[Formula, Ordinal], int],
+                                          Callable[[Formula, Ordinal], int]]:
+    """``upto(g, a)`` and ``below(g, a)``: the states that carry g at
+    some stage at or below a, and strictly below a."""
+    rows: Dict[Formula, Tuple[List[Ordinal], List[int]]] = {}
+    for g, pairs in table.items():
+        union = 0
+        prefix = [0]
+        for _, m in pairs:
+            union |= m
+            prefix.append(union)
+        rows[g] = ([a for a, _ in pairs], prefix)
+
+    def upto(g: Formula, a: Ordinal) -> int:
+        row = rows.get(g)
+        return row[1][bisect_right(row[0], a)] if row else 0
+
+    def below(g: Formula, a: Ordinal) -> int:
+        row = rows.get(g)
+        return row[1][bisect_left(row[0], a)] if row else 0
+
+    return upto, below
+
+
 def preceq(a: AnnSet, b: AnnSet) -> bool:
     """Every entry of b is matched in a by the same formula at or below its stage."""
     least = _least(a)
@@ -181,18 +292,22 @@ def preceq_annotation(a: Annotation, b: Annotation) -> bool:
     """Pointwise comparison over a shared state space."""
     if frozenset(a.frame.states) != frozenset(b.frame.states):
         raise ValueError("annotations compare pointwise over the same states")
-    return all(preceq(a.at(s), b.at(s)) for s in a.frame.states)
+    if b.frame.states != a.frame.states:
+        b = Annotation(a.frame, dict(b.items()))
+    upto, _ = _cumulative(a._table)
+    return all(not m & ~upto(f, x) for f, pairs in b._table.items() for x, m in pairs)
 
 
-def _closure_or_raise(theta: Annotation, system: EquationSystem) -> FrozenSet[Formula]:
+def _closure_or_raise(theta: Annotation, system: EquationSystem) -> None:
     clos = closure(system)
-    for s, ann in theta.items():
-        for f, _ in ann:
-            if f not in clos:
-                raise ForeignFormula(
-                    f"{format_formula(f)} at {s} is not in the closure of the system"
-                )
-    return clos
+    foreign = [(min(next(_bits(m)) for _, m in pairs), f)
+               for f, pairs in theta._table.items() if f not in clos]
+    if foreign:
+        i, f = min(foreign, key=lambda pf: pf[0])
+        raise ForeignFormula(
+            f"{format_formula(f)} at {theta.frame.states[i]} is not in the closure"
+            " of the system"
+        )
 
 
 def check_well_annotation(
@@ -200,104 +315,92 @@ def check_well_annotation(
     system: EquationSystem,
     frame: Optional[Frame] = None,
 ) -> List[Violation]:
-    """All clause failures of the annotation; empty means valid."""
+    """All clause failures of the annotation; empty means valid.
+
+    Violations come in state order, then by formula (``sort_key``) and
+    stage, then in clause order."""
     if frame is not None and frame != theta.frame:
         raise ValueError("annotation belongs to a different frame")
     frame = theta.frame
     _closure_or_raise(theta, system)
     index = frame_index(frame)
-    table = first_stages(system, index)
-    least = {s: _least(theta.at(s)) for s in frame.states}
+    first = first_stages(system, index)
+    upto, below = _cumulative(theta._table)
+    full, states = index.full, frame.states
+    found: List[Tuple[tuple, Violation]] = []
+    keys: Dict[Formula, str] = {}
 
-    def within(r: str, g: Formula, a: Ordinal) -> bool:
-        b = least[r].get(g)
-        return b is not None and b <= a
+    def fail(bad: int, rank: int, f: Formula, a: Ordinal, clause: str,
+             detail: Union[str, Callable[[int], str]]) -> None:
+        if not bad:
+            return
+        key = keys.get(f)
+        if key is None:
+            key = keys[f] = sort_key(f)
+        for i in _bits(bad):
+            text = detail if isinstance(detail, str) else detail(i)
+            found.append(((i, key, a, rank), Violation(states[i], clause, f, a, text)))
 
-    out: List[Violation] = []
-    for s in frame.states:
-        succs = sorted(frame.successors(s))
-        for f, a in sorted(theta.at(s), key=_entry_key):
-            if is_closed(f):
-                held = dict(table[f]).get(0, 0)
-                if not held >> index.position[s] & 1:
-                    out.append(Violation(s, "D3.1-1", f, a, "closed formula does not hold here"))
+    for f, pairs in theta._table.items():
+        closed = is_closed(f)
+        if closed:
+            held = first[f]
+            held = held[0][1] if held and held[0][0] == 0 else 0
+        for a, m in pairs:
+            if closed:
+                fail(m & ~held, 0, f, a, "D3.1-1", "closed formula does not hold here")
             if isinstance(f, Var):
-                b = least[s].get(system.eq(f.name))
-                if b is None or not b < a:
-                    out.append(Violation(
-                        s, "D3.1-2", f, a,
-                        "right-hand side is not annotated strictly below the variable",
-                    ))
+                fail(m & ~below(system.eq(f.name), a), 1, f, a, "D3.1-2",
+                     "right-hand side is not annotated strictly below the variable")
             elif isinstance(f, BigOr):
-                if not any(within(s, d, a) for d in f.args):
-                    out.append(Violation(
-                        s, "D3.1-3", f, a,
-                        "no disjunct is annotated at or below the disjunction",
-                    ))
+                union = 0
+                for d in f.args:
+                    union |= upto(d, a)
+                fail(m & ~union, 1, f, a, "D3.1-3",
+                     "no disjunct is annotated at or below the disjunction")
             elif isinstance(f, BigAnd):
-                missing = [
-                    d for d in sorted(f.args, key=sort_key) if not within(s, d, a)
-                ]
-                if missing:
-                    out.append(Violation(
-                        s, "D3.1-4", f, a,
-                        "conjuncts not annotated at or below the conjunction: "
-                        + ", ".join(format_formula(d) for d in missing),
-                    ))
+                within = {d: upto(d, a) for d in f.args}
+                inter = full
+                for w in within.values():
+                    inter &= w
+                fail(m & ~inter, 1, f, a, "D3.1-4", lambda i: (
+                    "conjuncts not annotated at or below the conjunction: "
+                    + ", ".join(format_formula(d) for d in sorted(f.args, key=sort_key)
+                                if not within[d] >> i & 1)))
             elif isinstance(f, Nabla):
-                cover_match = any(all(within(r, g, a) for g in f.args) for r in succs)
-                member_all = any(all(within(r, g, a) for r in succs) for g in f.args)
-                if not cover_match and not member_all:
-                    out.append(Violation(
-                        s, "D3.1-5a", f, a,
-                        "no successor carries the whole member set at or below"
-                        " the stage",
-                    ))
-                    out.append(Violation(
-                        s, "D3.1-5b", f, a,
-                        "no single member is carried by every successor at or"
-                        " below the stage",
-                    ))
+                bad = m & ~index.nab([upto(g, a) for g in f.args], at=m)
+                fail(bad, 1, f, a, "D3.1-5a",
+                     "no successor carries the whole member set at or below the stage")
+                fail(bad, 2, f, a, "D3.1-5b",
+                     "no single member is carried by every successor at or below"
+                     " the stage")
             elif isinstance(f, Box):
-                bad = [r for r in succs if not within(r, f.arg, a)]
-                if bad:
-                    out.append(Violation(
-                        s, "D3.1-box", f, a,
-                        "successors missing the argument at or below the stage: "
-                        + ", ".join(bad),
-                    ))
+                arg = upto(f.arg, a)
+                fail(m & ~index.box(arg, at=m), 1, f, a, "D3.1-box", lambda i: (
+                    "successors missing the argument at or below the stage: "
+                    + ", ".join(r for r in sorted(frame.successors(states[i]))
+                                if not arg >> index.position[r] & 1)))
             elif isinstance(f, Dia):
-                if not any(within(r, f.arg, a) for r in succs):
-                    out.append(Violation(
-                        s, "D3.1-dia", f, a,
-                        "no successor carries the argument at or below the stage",
-                    ))
-    return out
+                fail(m & index.box(full & ~upto(f.arg, a), at=m), 1, f, a, "D3.1-dia",
+                     "no successor carries the argument at or below the stage")
+    found.sort(key=lambda kv: kv[0])
+    return [v for _, v in found]
 
 
-def _least_stages(system: EquationSystem, frame: Frame) -> Dict[str, Dict[Formula, Ordinal]]:
-    """State -> {satisfied closure formula: its least stage there}, read
-    off the first-stage table of the system's stage run on the frame,
-    where every closure formula has a slot."""
-    table = first_stages(system, frame_index(frame))
-    states = frame.states
-    least: Dict[str, Dict[Formula, Ordinal]] = {s: {} for s in states}
-    stage: Dict[int, Ordinal] = {}
-    for f in closure(system):
-        for a, new in table[f]:
-            alpha = stage.get(a)
-            if alpha is None:
-                alpha = stage[a] = Ordinal.natural(a)
-            while new:
-                low = new & -new
-                least[states[low.bit_length() - 1]][f] = alpha
-                new ^= low
-    return least
+def _least_table(system: EquationSystem, index: FrameIndex) -> AnnTable:
+    """The conservative table: each satisfied closure formula with the
+    states that first satisfy it at each stage, read off the first-stage
+    table of the system's stage run on the index, where every closure
+    formula has a slot."""
+    first = first_stages(system, index)
+    top = max((pairs[-1][0] for pairs in first.values() if pairs), default=0)
+    stage = [Ordinal.natural(a) for a in range(top + 1)]
+    return {f: tuple((stage[a], m) for a, m in first[f]) for f in closure(system) if first[f]}
 
 
 def conservative(system: EquationSystem, frame: Frame) -> Annotation:
     """Annotate every satisfied closure formula with its least stage."""
-    return Annotation(frame, _least_stages(system, frame))
+    return Annotation._of(frame, _least_table(system, frame_index(frame)))
 
 
 def verify_conservative(
@@ -305,42 +408,54 @@ def verify_conservative(
     system: EquationSystem,
     frame: Optional[Frame] = None,
 ) -> List[Violation]:
-    """Mismatches against the least-stage annotation; empty means exact."""
+    """Mismatches against the least-stage annotation; empty means exact.
+
+    At each state, in state order: the annotated formulas by
+    ``sort_key``, each with its repetition and then its stages in
+    order, then the missing formulas by ``sort_key``."""
     if frame is not None and frame != theta.frame:
         raise ValueError("annotation belongs to a different frame")
     frame = theta.frame
     _closure_or_raise(theta, system)
-    reference = _least_stages(system, frame)
-    out: List[Violation] = []
-    for s in frame.states:
-        by_formula: Dict[Formula, List[Ordinal]] = {}
-        for f, a in theta.at(s):
-            by_formula.setdefault(f, []).append(a)
-        ref = reference[s]
-        for f in sorted(by_formula, key=sort_key):
-            stages = sorted(by_formula[f])
+    reference = _least_table(system, frame_index(frame))
+    table, states = theta._table, frame.states
+    found: List[Tuple[tuple, Violation]] = []
+    for f in table.keys() | reference.keys():
+        mine, ref = table.get(f, ()), reference.get(f, ())
+        if mine == ref:
+            continue
+        key = sort_key(f)
+        least = {i: b for b, m in ref for i in _bits(m)}
+        held: Dict[int, List[Ordinal]] = {}
+        for a, m in mine:
+            for i in _bits(m):
+                held.setdefault(i, []).append(a)
+        for i, stages in held.items():
+            s = states[i]
             if len(stages) > 1:
-                out.append(Violation(
+                found.append(((i, 0, key, 0), Violation(
                     s, "D3.2-1", f, stages[0],
                     "formula annotated more than once: "
                     + ", ".join(str(a) for a in stages),
-                ))
+                )))
+            b = least.get(i)
             for a in stages:
-                if f not in ref:
-                    out.append(Violation(
+                if b is None:
+                    found.append(((i, 0, key, 1, a), Violation(
                         s, "D3.2-2", f, a, "formula does not hold at this state"
-                    ))
-                elif a != ref[f]:
-                    out.append(Violation(
-                        s, "D3.2-2", f, a, f"least stage here is {ref[f]}"
-                    ))
-        for f, a in sorted(ref.items(), key=_entry_key):
-            if f not in by_formula:
-                out.append(Violation(
-                    s, "D3.2-2", f, a,
+                    )))
+                elif a != b:
+                    found.append(((i, 0, key, 1, a), Violation(
+                        s, "D3.2-2", f, a, f"least stage here is {b}"
+                    )))
+        for i, b in least.items():
+            if i not in held:
+                found.append(((i, 1, key), Violation(
+                    states[i], "D3.2-2", f, b,
                     "satisfied closure formula missing from the annotation",
-                ))
-    return out
+                )))
+    found.sort(key=lambda kv: kv[0])
+    return [v for _, v in found]
 
 
 def box_set(gamma: Iterable[Formula], state: str, theta: Annotation) -> FrozenSet[Formula]:
@@ -592,8 +707,8 @@ def extract_relevant(
         phi_out[sid] = frozenset(marked)
 
     new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
-    theta2 = Annotation(new_tree, theta_out)
-    phi2 = Annotation(new_tree, phi_out)
+    theta2 = Annotation._of(new_tree, _table_of(new_tree, theta_out), theta_out)
+    phi2 = Annotation._of(new_tree, _table_of(new_tree, phi_out), phi_out)
 
     problems = check_relevant(phi2, theta2, system)
     for s in new_tree.states:
@@ -657,25 +772,28 @@ def parse_annotation(
         raise AnnotationParseError(f"unknown state {exc.args[0]!r}") from exc
 
 
+def _rows(ann: Annotation) -> Iterator[Tuple[str, List[Tuple[str, Ordinal]]]]:
+    """Each state that has entries, in frame order, with its entries as
+    (formula text, stage) in ``_entry_key`` order; each formula is
+    printed once."""
+    text = {f: format_formula(f) for f in ann._table}
+    for s, entries in ann.items():
+        if entries:
+            yield s, sorted((text[f], a) for f, a in entries)
+
+
 def format_annotation(ann: Annotation) -> str:
     lines = []
-    for s in ann.frame.states:
-        entries = sorted(ann.at(s), key=_entry_key)
-        if not entries:
-            continue
-        parts = "; ".join(f"{format_formula(f)} @ {a}" for f, a in entries)
+    for s, rows in _rows(ann):
+        parts = "; ".join(f"{t} @ {a}" for t, a in rows)
         lines.append(f"{s}: {parts};")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def annotation_to_json(ann: Annotation) -> dict:
     return {
-        s: [
-            {"formula": format_formula(f), "ordinal": str(a)}
-            for f, a in sorted(ann.at(s), key=_entry_key)
-        ]
-        for s in ann.frame.states
-        if ann.at(s)
+        s: [{"formula": t, "ordinal": str(a)} for t, a in rows]
+        for s, rows in _rows(ann)
     }
 
 

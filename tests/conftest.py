@@ -1,11 +1,13 @@
 """Shared fixtures: the system corpus, seeded random generators, the
-recursive reference evaluator, the per-frame reference oracle, and the
-annotated descent spines used by the repetition-pair and pump tests."""
+recursive reference evaluator, the per-frame reference oracle, the
+per-state reference annotation checkers, and the annotated descent
+spines used by the repetition-pair and pump tests."""
 
 import zlib
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from nablamu import (
     Annotation,
@@ -16,7 +18,9 @@ from nablamu import (
     EquationSystem,
     EquationalFormula,
     FF,
+    ForeignFormula,
     Formula,
+    Frame,
     FrameIndex,
     Mu,
     Nabla,
@@ -27,22 +31,30 @@ from nablamu import (
     TT,
     TreeFrame,
     Var,
+    Violation,
     box,
+    closure,
     conj,
     cover,
     dia,
     disj,
     enumerate_frames,
+    first_stages,
+    format_formula,
     format_system,
+    frame_index,
     free_vars,
+    is_closed,
     neg,
     parse_formula,
     parse_system,
     prop,
     random_frame,
+    sort_key,
     to_equational,
     var,
 )
+from nablamu.annotation import _entry_key, _least
 from nablamu.normalform import _prop_names
 from nablamu.pump import AnnotatedTree
 from nablamu.semantics import least_stable_stage
@@ -167,6 +179,163 @@ def _ref_oracle_frames(eqf: EquationalFormula, exhaustive_max: int, random_count
         fr = random_frame(1 + i % 8, edge_prob=probs[i % 4],
                           props=prop_tuple, seed=seed + i)
         yield f"R#{i}", fr
+
+
+def ref_check_well_annotation(
+    theta: Annotation,
+    system: EquationSystem,
+    frame: Optional[Frame] = None,
+) -> List[Violation]:
+    """The per-state reference checker: every entry of every state
+    tested clause by clause against each state's least stage per
+    formula."""
+    if frame is not None and frame != theta.frame:
+        raise ValueError("annotation belongs to a different frame")
+    frame = theta.frame
+    _ref_closure_or_raise(theta, system)
+    index = frame_index(frame)
+    table = first_stages(system, index)
+    least = {s: _least(theta.at(s)) for s in frame.states}
+
+    def within(r: str, g: Formula, a: Ordinal) -> bool:
+        b = least[r].get(g)
+        return b is not None and b <= a
+
+    out: List[Violation] = []
+    for s in frame.states:
+        succs = sorted(frame.successors(s))
+        for f, a in sorted(theta.at(s), key=_entry_key):
+            if is_closed(f):
+                held = dict(table[f]).get(0, 0)
+                if not held >> index.position[s] & 1:
+                    out.append(Violation(s, "D3.1-1", f, a, "closed formula does not hold here"))
+            if isinstance(f, Var):
+                b = least[s].get(system.eq(f.name))
+                if b is None or not b < a:
+                    out.append(Violation(
+                        s, "D3.1-2", f, a,
+                        "right-hand side is not annotated strictly below the variable",
+                    ))
+            elif isinstance(f, BigOr):
+                if not any(within(s, d, a) for d in f.args):
+                    out.append(Violation(
+                        s, "D3.1-3", f, a,
+                        "no disjunct is annotated at or below the disjunction",
+                    ))
+            elif isinstance(f, BigAnd):
+                missing = [
+                    d for d in sorted(f.args, key=sort_key) if not within(s, d, a)
+                ]
+                if missing:
+                    out.append(Violation(
+                        s, "D3.1-4", f, a,
+                        "conjuncts not annotated at or below the conjunction: "
+                        + ", ".join(format_formula(d) for d in missing),
+                    ))
+            elif isinstance(f, Nabla):
+                cover_match = any(all(within(r, g, a) for g in f.args) for r in succs)
+                member_all = any(all(within(r, g, a) for r in succs) for g in f.args)
+                if not cover_match and not member_all:
+                    out.append(Violation(
+                        s, "D3.1-5a", f, a,
+                        "no successor carries the whole member set at or below"
+                        " the stage",
+                    ))
+                    out.append(Violation(
+                        s, "D3.1-5b", f, a,
+                        "no single member is carried by every successor at or"
+                        " below the stage",
+                    ))
+            elif isinstance(f, Box):
+                bad = [r for r in succs if not within(r, f.arg, a)]
+                if bad:
+                    out.append(Violation(
+                        s, "D3.1-box", f, a,
+                        "successors missing the argument at or below the stage: "
+                        + ", ".join(bad),
+                    ))
+            elif isinstance(f, Dia):
+                if not any(within(r, f.arg, a) for r in succs):
+                    out.append(Violation(
+                        s, "D3.1-dia", f, a,
+                        "no successor carries the argument at or below the stage",
+                    ))
+    return out
+
+
+def _ref_closure_or_raise(theta: Annotation, system: EquationSystem) -> FrozenSet[Formula]:
+    clos = closure(system)
+    for s, ann in theta.items():
+        for f, _ in ann:
+            if f not in clos:
+                raise ForeignFormula(
+                    f"{format_formula(f)} at {s} is not in the closure of the system"
+                )
+    return clos
+
+
+def _ref_least_stages(system: EquationSystem, frame: Frame) -> Dict[str, Dict[Formula, Ordinal]]:
+    """State -> {satisfied closure formula: its least stage there}, read
+    off the first-stage table of the system's stage run on the frame,
+    where every closure formula has a slot."""
+    table = first_stages(system, frame_index(frame))
+    states = frame.states
+    least: Dict[str, Dict[Formula, Ordinal]] = {s: {} for s in states}
+    stage: Dict[int, Ordinal] = {}
+    for f in closure(system):
+        for a, new in table[f]:
+            alpha = stage.get(a)
+            if alpha is None:
+                alpha = stage[a] = Ordinal.natural(a)
+            while new:
+                low = new & -new
+                least[states[low.bit_length() - 1]][f] = alpha
+                new ^= low
+    return least
+
+
+def ref_verify_conservative(
+    theta: Annotation,
+    system: EquationSystem,
+    frame: Optional[Frame] = None,
+) -> List[Violation]:
+    """The per-state reference comparison against the least-stage
+    annotation."""
+    if frame is not None and frame != theta.frame:
+        raise ValueError("annotation belongs to a different frame")
+    frame = theta.frame
+    _ref_closure_or_raise(theta, system)
+    reference = _ref_least_stages(system, frame)
+    out: List[Violation] = []
+    for s in frame.states:
+        by_formula: Dict[Formula, List[Ordinal]] = {}
+        for f, a in theta.at(s):
+            by_formula.setdefault(f, []).append(a)
+        ref = reference[s]
+        for f in sorted(by_formula, key=sort_key):
+            stages = sorted(by_formula[f])
+            if len(stages) > 1:
+                out.append(Violation(
+                    s, "D3.2-1", f, stages[0],
+                    "formula annotated more than once: "
+                    + ", ".join(str(a) for a in stages),
+                ))
+            for a in stages:
+                if f not in ref:
+                    out.append(Violation(
+                        s, "D3.2-2", f, a, "formula does not hold at this state"
+                    ))
+                elif a != ref[f]:
+                    out.append(Violation(
+                        s, "D3.2-2", f, a, f"least stage here is {ref[f]}"
+                    ))
+        for f, a in sorted(ref.items(), key=_entry_key):
+            if f not in by_formula:
+                out.append(Violation(
+                    s, "D3.2-2", f, a,
+                    "satisfied closure formula missing from the annotation",
+                ))
+    return out
 
 
 def corpus_systems() -> List[Tuple[str, EquationalFormula]]:

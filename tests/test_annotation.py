@@ -4,6 +4,7 @@ the refinement order, relevant parts, and the serializations."""
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nablamu import (
     Annotation,
@@ -41,13 +42,15 @@ from nablamu import (
     preceq,
     preceq_annotation,
     random_frame,
+    sort_key,
     stabilize,
     to_equational,
     unravel,
     verify_conservative,
 )
 
-from conftest import full_corpus, random_instance, ref_eval
+from conftest import (full_corpus, random_instance, ref_check_well_annotation, ref_eval,
+                      ref_verify_conservative)
 
 CHAIN = parse_frame("states: s0 s1 s2\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
 TREE = parse_frame(
@@ -94,6 +97,32 @@ def test_annotation_is_immutable_with_entry_copies():
     grown = ann.with_entry("s1", P, 4)
     assert ann.at("s1") == frozenset()
     assert (P, Ordinal.natural(4)) in grown.at("s1")
+
+
+def test_annotation_value_contract():
+    # Mappings, pairs, int or Ordinal stages and with_entry give one
+    # value; a state may carry a formula at several stages.
+    per_state = {
+        "s0": frozenset({(P, Ordinal()), (P, Ordinal.natural(2)), (X, OMEGA)}),
+        "s2": frozenset({(X, Ordinal.natural(1)), (NAB_X, Ordinal())}),
+    }
+    built = [
+        Annotation(CHAIN, {s: list(ann) for s, ann in per_state.items()}),
+        Annotation(CHAIN, {"s0": [(P, 0), (P, 2), (X, OMEGA)], "s1": [],
+                           "s2": {X: 1, NAB_X: Ordinal()}}),
+        Annotation(CHAIN, {}).with_entry("s2", X, 1).with_entry("s0", P, 2)
+        .with_entry("s0", X, OMEGA).with_entry("s2", NAB_X, 0).with_entry("s0", P, 0),
+    ]
+    for ann in built:
+        assert ann == built[0] and hash(ann) == hash(built[0])
+        assert list(ann.items()) == [
+            ("s0", per_state["s0"]), ("s1", frozenset()), ("s2", per_state["s2"])]
+        assert all(ann.at(s) == dict(ann.items())[s] for s in CHAIN.states)
+        assert ann.stripped("s0") == frozenset({P, X})
+        assert ann.stripped("s1") == frozenset()
+        assert repr(ann) == "<Annotation 5 entries over 3 states>"
+    assert built[0] != built[0].with_entry("s1", P, 0)
+    assert Annotation(CHAIN, {"s1": {}}) == Annotation(CHAIN, {})
 
 
 # ------------------------------------------------------ refinement order
@@ -327,6 +356,83 @@ def test_uniform_left_bump_preserves_validity():
             s: {f: delta + a for f, a in theta.at(s)}
             for s in CHAIN.states})
         assert check_well_annotation(bumped, SYS.system, frame=CHAIN) == []
+
+
+def _sorted_entries(theta):
+    return [(s, f, a) for s, ann in theta.items()
+            for f, a in sorted(ann, key=lambda e: (sort_key(e[0]), e[1]))]
+
+
+def _variants(theta, system, rng):
+    """The annotation, bumped, with an entry dropped, with a stage
+    shifted by one either way or to w, with a duplicated stage, with
+    transfinite stages, and random, for the parity tests."""
+    frame = theta.frame
+    entries = _sorted_entries(theta)
+
+    def rebuild(pick):
+        out = {}
+        for s, f, a in entries:
+            for e in pick(s, f, a):
+                out.setdefault(s, []).append(e)
+        return Annotation(frame, out)
+
+    out = [theta, rebuild(lambda s, f, a: [(f, rng.choice((1, 3, OMEGA)) + a)])]
+    if entries:
+        hit = rng.randrange(len(entries))
+        out.append(rebuild(lambda s, f, a: [] if (s, f, a) == entries[hit] else [(f, a)]))
+        for shift in (lambda a: a + 1, lambda a: a.pred() if a.is_successor else a + 2,
+                      lambda a: OMEGA):
+            out.append(rebuild(lambda s, f, a: [(f, shift(a)) if (s, f, a) == entries[hit]
+                                                else (f, a)]))
+        s, f, a = entries[rng.randrange(len(entries))]
+        out.append(theta.with_entry(s, f, a + rng.randint(1, 2)))
+    out.append(rebuild(lambda s, f, a: [(f, rng.choice(
+        (a, OMEGA + a, Ordinal.omega_times(2) + a, Ordinal.single(2) + a)))]))
+    formulas = sorted(closure(system), key=sort_key)
+    out.append(Annotation(frame, {
+        s: [(rng.choice(formulas), rng.choice((0, 1, 2, 3, OMEGA, OMEGA + 1)))
+            for _ in range(rng.randint(0, 2 * len(formulas)))]
+        for s in frame.states}))
+    return out
+
+
+def _assert_checkers_match_reference(theta, system, rng):
+    for ann in _variants(theta, system, rng):
+        assert check_well_annotation(ann, system) == ref_check_well_annotation(ann, system)
+        assert verify_conservative(ann, system) == ref_verify_conservative(ann, system)
+        for a, b in ((theta, ann), (ann, theta)):
+            assert preceq_annotation(a, b) == all(
+                preceq(a.at(s), b.at(s)) for s in a.frame.states)
+
+
+def test_checkers_match_per_state_reference_on_corpus():
+    for name, eqf in full_corpus():
+        system = eqf.system
+        props = sorted({f.name for f in closure(system)
+                        if isinstance(f, (Prop, NegProp))})
+        rng = Random(name)
+        for _ in range(12):
+            fr = random_frame(rng.randint(1, 8),
+                              edge_prob=rng.choice((0.15, 0.3, 0.5, 0.7)),
+                              props=props, seed=rng.randrange(1 << 30))
+            _assert_checkers_match_reference(conservative(system, fr), system, rng)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(0, 1 << 30))
+def test_checkers_match_per_state_reference_on_random_instances(seed, pick):
+    eqf, frame = random_instance(seed)
+    _assert_checkers_match_reference(conservative(eqf.system, frame), eqf.system,
+                                     Random(pick))
+
+
+def test_preceq_annotation_across_state_orders():
+    theta = conservative(SYS.system, CHAIN)
+    flipped = parse_frame("states: s2 s1 s0\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
+    bumped = Annotation(flipped, {s: {f: 1 + a for f, a in ann} for s, ann in theta.items()})
+    assert preceq_annotation(theta, bumped)
+    assert not preceq_annotation(bumped, theta)
 
 
 # ------------------------------------------------------ conservativeness

@@ -18,6 +18,7 @@ from nablamu import (
     approx,
     box,
     chain,
+    check_well_annotation,
     closure,
     closure_ordinal_on,
     conservative,
@@ -40,6 +41,7 @@ from nablamu import (
     stabilize,
     to_equational,
     var,
+    verify_conservative,
 )
 from nablamu.semantics import FrameBatch, first_stages, least_stable_stage
 from nablamu.syntax import Var, _postorder
@@ -352,6 +354,16 @@ def test_ten_thousand_deep_closed_mu_system_evaluates_and_annotates():
     assert ann.stripped("a") == clos
     assert ann.stripped("b") == ann.stripped("c") == clos - {prop("q")}
     assert sum(len(entries) for _, entries in ann.items()) == 3 * len(clos) - 2
+
+
+def test_ten_thousand_deep_closed_mu_system_checks_its_annotation():
+    # The checkers print only failing entries, so the 10^4-level closure
+    # formulas of a valid annotation are never formatted.
+    system = EquationSystem([("x", disj(cover(var("x")), deep_closed_mu(10_000)))])
+    cycle = parse_frame("states: a b c\nedges: a->b b->c c->a\nlabels: q: a\n")
+    ann = conservative(system, cycle)
+    assert check_well_annotation(ann, system) == []
+    assert verify_conservative(ann, system) == []
 
 
 def test_deepest_parsable_binder_nesting_evaluates():

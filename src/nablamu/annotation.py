@@ -52,7 +52,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTu
 from .ordinal import Ordinal, ZERO, OrdinalParseError
 from .syntax import (BigAnd, BigOr, Box, Dia, EquationSystem, Formula, Nabla,
                      NegatedVariable, ParseError, UnboundVariable, Var, closure,
-                     format_formula, is_closed, parse_formula, sort_key)
+                     _Value, format_formula, is_closed, parse_formula, sort_key)
 from .frame import Frame, TreeFrame, UnknownState
 from .semantics import FrameIndex, first_stages, frame_index
 
@@ -138,9 +138,10 @@ def _table_of(frame: Frame, view: Mapping[str, Iterable[AnnEntry]]) -> AnnTable:
     return {f: tuple(sorted(stages.items())) for f, stages in acc.items()}
 
 
-class Annotation:
+class Annotation(_Value):
     """A per-state finite set of (formula, ordinal) pairs over a frame,
-    held as the table formula -> ((stage, state mask), ...)."""
+    held as the table formula -> ((stage, state mask), ...).  It is
+    compared, hashed, pickled and copied by its frame and table."""
 
     __slots__ = ("frame", "_table", "_view", "_stripped")
 
@@ -153,14 +154,7 @@ class Annotation:
             ann = frozenset(_coerce_entry(e) for e in pairs)
             if ann:
                 view[s] = ann
-        self._fill(frame, _table_of(frame, view), view)
-
-    def _fill(self, frame: Frame, table: AnnTable, view: Optional[Dict[str, AnnSet]]) -> None:
-        init = object.__setattr__
-        init(self, "frame", frame)
-        init(self, "_table", table)
-        init(self, "_view", view)
-        init(self, "_stripped", {})
+        self._set(frame=frame, _table=_table_of(frame, view), _view=view, _stripped={})
 
     @classmethod
     def _of(cls, frame: Frame, table: AnnTable,
@@ -168,11 +162,14 @@ class Annotation:
         """The annotation of a table, and of its per-state view if known,
         both trusted as they are."""
         self = object.__new__(cls)
-        self._fill(frame, table, view)
+        self._set(frame=frame, _table=table, _view=view, _stripped={})
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Annotation objects are immutable")
+    def _key(self) -> tuple:
+        return (self.frame, frozenset(self._table.items()))
+
+    def _args(self) -> tuple:
+        return (self.frame, self._table)
 
     def _states(self) -> Dict[str, AnnSet]:
         """The per-state view, derived from the table on first use."""
@@ -190,7 +187,7 @@ class Annotation:
                         else:
                             bucket.append(entry)
             view = {s: frozenset(ann) for s, ann in acc.items()}
-            object.__setattr__(self, "_view", view)
+            self._set(_view=view)
         return view
 
     def at(self, state: str) -> AnnSet:
@@ -216,14 +213,6 @@ class Annotation:
         table = dict(self._table)
         table[f] = tuple(sorted(stages.items()))
         return Annotation._of(self.frame, table)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Annotation):
-            return NotImplemented
-        return self.frame == other.frame and self._table == other._table
-
-    def __hash__(self) -> int:
-        return hash((self.frame, frozenset(self._table.items())))
 
     def __repr__(self) -> str:
         count = sum(bin(m).count("1") for pairs in self._table.values() for _, m in pairs)

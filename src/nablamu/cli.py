@@ -44,11 +44,13 @@ from .annotation import (
     Annotation,
     AnnotationParseError,
     Violation,
+    _entry_key,
     annotation_to_json,
     check_well_annotation,
     conservative,
     extract_relevant,
     format_annotation,
+    parse_annotation,
     verify_conservative,
 )
 from .pump import AnnotatedTree, find_repetition_pairs, pair_to_json, pump
@@ -88,17 +90,17 @@ def _load_frame(path: str) -> Frame:
     return parse_frame(_read(path))
 
 
-def _load_tree(path: str) -> TreeFrame:
-    fr = parse_frame(_read(path))
-    if not isinstance(fr, TreeFrame):
-        raise ValueError(f"{path}: frame has no 'root:' line, not a tree")
-    return fr
-
-
 def _load_annotation(path: str, frame: Frame, variables: Sequence[str]) -> Annotation:
-    from .annotation import parse_annotation
-
     return parse_annotation(_read(path), frame, variables)
+
+
+def _load_annotated(frame: str, theta: str, phi: str, variables: Sequence[str]) -> AnnotatedTree:
+    """The annotated tree of a tree frame file and two annotation files."""
+    tree = _load_frame(frame)
+    if not isinstance(tree, TreeFrame):
+        raise ValueError(f"{frame}: frame has no 'root:' line, not a tree")
+    return AnnotatedTree(tree, _load_annotation(theta, tree, variables),
+                         _load_annotation(phi, tree, variables))
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -185,8 +187,6 @@ def _annotated_sections(tree: TreeFrame, theta: Annotation, phi: Annotation,
 
 
 def _annotated_dot(tree: TreeFrame, theta: Annotation, phi: Annotation) -> str:
-    from .annotation import _entry_key
-
     lines = ["digraph annotated {", "  rankdir=TB;"]
     for s in tree.states:
         rows = [s]
@@ -262,18 +262,11 @@ def _cmd_annotate(args: argparse.Namespace) -> str:
     return format_annotation(theta)
 
 
-def _cmd_check_ann(args: argparse.Namespace) -> str:
+def _cmd_check(args: argparse.Namespace) -> str:
     eqf = _load_system(args.system)
     frame = _load_frame(args.frame)
     theta = _load_annotation(args.ann, frame, eqf.system.vars)
-    return _violation_report(check_well_annotation(theta, eqf.system), args.format)
-
-
-def _cmd_conservative_check(args: argparse.Namespace) -> str:
-    eqf = _load_system(args.system)
-    frame = _load_frame(args.frame)
-    theta = _load_annotation(args.ann, frame, eqf.system.vars)
-    return _violation_report(verify_conservative(theta, eqf.system), args.format)
+    return _violation_report(args.checker(theta, eqf.system), args.format)
 
 
 def _cmd_relevant(args: argparse.Namespace) -> str:
@@ -291,10 +284,8 @@ def _cmd_relevant(args: argparse.Namespace) -> str:
 
 def _cmd_pairs(args: argparse.Namespace) -> str:
     eqf = _load_system(args.system)
-    tree = _load_tree(args.frame)
-    theta = _load_annotation(args.theta, tree, eqf.system.vars)
-    phi = _load_annotation(args.phi, tree, eqf.system.vars)
-    found = find_repetition_pairs(AnnotatedTree(tree, theta, phi))
+    found = find_repetition_pairs(
+        _load_annotated(args.frame, args.theta, args.phi, eqf.system.vars))
     if args.format == "json":
         return json.dumps({"pairs": [pair_to_json(p) for p in found]}, indent=2)
     if not found:
@@ -303,15 +294,9 @@ def _cmd_pairs(args: argparse.Namespace) -> str:
 
 
 def _cmd_pump(args: argparse.Namespace) -> str:
-    eqf = _load_system(args.system)
-    tree = _load_tree(args.frame)
-    theta = _load_annotation(args.theta, tree, eqf.system.vars)
-    phi = _load_annotation(args.phi, tree, eqf.system.vars)
-    host = AnnotatedTree(tree, theta, phi)
-    dtree = _load_tree(args.donor_frame)
-    dtheta = _load_annotation(args.donor_theta, dtree, eqf.system.vars)
-    dphi = _load_annotation(args.donor_phi, dtree, eqf.system.vars)
-    donor = AnnotatedTree(dtree, dtheta, dphi)
+    variables = _load_system(args.system).system.vars
+    host = _load_annotated(args.frame, args.theta, args.phi, variables)
+    donor = _load_annotated(args.donor_frame, args.donor_theta, args.donor_phi, variables)
     result = pump(host, args.state, donor)
     header = (
         f"pumped {args.state} with donor rooted {donor.tree.root}"
@@ -409,16 +394,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--frame", required=True)
 
-    p = add("check-ann", _cmd_check_ann, help="check the well-annotation clauses")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
-    p.add_argument("--ann", required=True)
-
-    p = add("conservative-check", _cmd_conservative_check,
-            help="compare an annotation against the conservative one")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
-    p.add_argument("--ann", required=True)
+    for name, checker, text in (
+            ("check-ann", check_well_annotation, "check the well-annotation clauses"),
+            ("conservative-check", verify_conservative,
+             "compare an annotation against the conservative one")):
+        p = add(name, _cmd_check, help=text)
+        p.set_defaults(checker=checker)
+        p.add_argument("--system", required=True)
+        p.add_argument("--frame", required=True)
+        p.add_argument("--ann", required=True)
 
     p = add("relevant", _cmd_relevant, dot=True,
             help="extract a relevant part over a tree frame")

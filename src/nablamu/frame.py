@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import re
 from random import Random
+from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
-from .syntax import Formula, Var, Prop, BigAnd, BigOr, Mu, box, dia, FF, _postorder
+from .syntax import Formula, Var, Prop, BigAnd, BigOr, Mu, box, dia, FF, _postorder, _Value
 
 __all__ = [
     "Frame",
@@ -67,8 +68,9 @@ def _check_name(name: str) -> str:
     return name
 
 
-class Frame:
-    """A finite Kripke frame with named states."""
+class Frame(_Value):
+    """A finite Kripke frame with named states; ``labels`` is a read-only
+    map from each proposition to its nonempty state set."""
 
     __slots__ = ("states", "edges", "labels", "_succ", "_state_set")
 
@@ -97,14 +99,9 @@ class Frame:
         succ: Dict[str, set] = {s: set() for s in sts}
         for a, b in edge_set:
             succ[a].add(b)
-        object.__setattr__(self, "states", sts)
-        object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "labels", {p: lab[p] for p in sorted(lab)})
-        object.__setattr__(self, "_succ", {s: frozenset(ts) for s, ts in succ.items()})
-        object.__setattr__(self, "_state_set", state_set)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Frame objects are immutable")
+        self._set(states=sts, edges=edge_set,
+                  labels=MappingProxyType({p: lab[p] for p in sorted(lab)}),
+                  _succ={s: frozenset(ts) for s, ts in succ.items()}, _state_set=state_set)
 
     def __contains__(self, state: str) -> bool:
         return state in self._state_set
@@ -129,21 +126,10 @@ class Frame:
         return state in self.label_states(prop)
 
     def _key(self) -> tuple:
-        return (
-            self.states,
-            self.edges,
-            tuple(sorted((p, tuple(sorted(ms))) for p, ms in self.labels.items())),
-        )
+        return (self.states, self.edges, tuple(self.labels.items()))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        if isinstance(other, TreeFrame) != isinstance(self, TreeFrame):
-            return False
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def _args(self) -> tuple:
+        return (self.states, self.edges, dict(self.labels))
 
     def __repr__(self) -> str:
         return f"<Frame {len(self.states)} states, {len(self.edges)} edges>"
@@ -177,8 +163,10 @@ class TreeFrame(Frame):
         if seen != self._state_set:
             missing = sorted(self._state_set - seen)
             raise NotATree(f"states unreachable from the root: {missing}")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_parent", parent)
+        self._set(root=root, _parent=parent)
+
+    def _args(self) -> tuple:
+        return (*super()._args(), self.root)
 
     def parent(self, state: str) -> Optional[str]:
         self.require(state)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .ordinal import Ordinal, OMEGA, ZERO
-from .syntax import EquationSystem, Formula, Nabla, Var, format_formula, size, sort_key
+from .syntax import EquationSystem, Formula, Nabla, Var, _Value, format_formula, size, sort_key
 from .frame import TreeFrame
 from .annotation import AnnEntry, Annotation
 
@@ -51,7 +51,7 @@ class NotATreeState(KeyError):
     """The named state does not belong to the annotated tree."""
 
 
-class AnnotatedTree:
+class AnnotatedTree(_Value):
     """A tree frame with a full annotation and a relevant part on it."""
 
     __slots__ = ("tree", "theta", "phi")
@@ -69,20 +69,10 @@ class AnnotatedTree:
                     f"relevant entry {format_formula(f)} @ {a} at {s} is not"
                     " in the full annotation"
                 )
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        self._set(tree=tree, theta=theta, phi=phi)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AnnotatedTree objects are immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AnnotatedTree):
-            return NotImplemented
-        return (self.tree, self.theta, self.phi) == (other.tree, other.theta, other.phi)
-
-    def __hash__(self) -> int:
-        return hash((self.tree, self.theta, self.phi))
+    def _key(self) -> tuple:
+        return (self.tree, self.theta, self.phi)
 
     def __repr__(self) -> str:
         return f"<AnnotatedTree {len(self.tree.states)} states, root {self.tree.root!r}>"

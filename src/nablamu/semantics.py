@@ -657,11 +657,10 @@ def _normalize_signature(
     out = []
     for e in entries:
         if isinstance(e, Ordinal):
-            out.append(e.to_int() if e.is_finite else cap)
-        elif isinstance(e, int) and e >= 0:
-            out.append(min(e, cap))
-        else:
+            e = e.to_int() if e.is_finite else cap
+        elif not (isinstance(e, int) and e >= 0):
             raise ValueError(f"bad signature entry {e!r}")
+        out.append(min(e, cap))
     return tuple(out)
 
 

@@ -20,6 +20,12 @@ with its class and fields, so structural equality is object identity,
 and a node's free variables (``fv``) are set when it is first built.
 Canonical text is computed on first use and kept on the node.
 
+Equation systems, equational formulas and the frames, annotations and
+annotated trees of the other modules are values on one private base,
+``_Value``: immutable, equal to an object of the same type with an
+equal ``_key()``, hashed by that key once, and pickled and copied by
+rebuilding through the constructor.
+
 Passes over formulas and trees share one explicit-stack walk,
 ``_postorder``, which lists each distinct reachable node once, after
 its kids: ``desugar``, ``substitute``, ``closure``, the stage-program
@@ -572,11 +578,56 @@ def parse_formula(text: str, vars: Iterable[str] = (), keep_sugar: bool = False)
 
 
 # ---------------------------------------------------------------------------
-# Equation systems
+# Values and equation systems
 # ---------------------------------------------------------------------------
 
 
-class EquationSystem:
+class _Value:
+    """An immutable value, compared and hashed by its ``_key()``.
+
+    Equal to an object of the same type with an equal key; the hash of
+    the key is taken on first use and kept.  Pickling and copying
+    rebuild through ``_of(*_args())``; unless a class overrides them,
+    ``_of`` is the constructor and ``_args()`` the key.  Fields and
+    caches are set with ``_set``; ``__setattr__`` and ``__delattr__``
+    raise.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _args(self) -> tuple:
+        return self._key()
+
+    @classmethod
+    def _of(cls, *args):
+        return cls(*args)
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._set(_hash=hash(self._key()))
+            return self._hash
+
+    def __reduce__(self):
+        return self._of, self._args()
+
+
+class EquationSystem(_Value):
     """A finite set of variables with guarded quantifier-free defining
     formulas over the variables and closed formulas (Sigma-fragment
     equation system).  Bodies are stored as given (box/dia nodes are
@@ -603,11 +654,9 @@ class EquationSystem:
             if not isinstance(body, Formula):
                 raise TypeError(f"equation body for {name!r} is not a formula")
             eqs[name] = body
-        self_vars = tuple(names)
-        object.__setattr__(self, "vars", self_vars)
-        object.__setattr__(self, "_eqs", eqs)
-        varset = frozenset(self_vars)
-        for name in self_vars:
+        self._set(vars=tuple(names), _eqs=eqs)
+        varset = frozenset(names)
+        for name in names:
             _validate_body(eqs[name], name, varset)
 
     def eq(self, name: str) -> Formula:
@@ -620,11 +669,8 @@ class EquationSystem:
     def equations(self) -> Tuple[Tuple[str, Formula], ...]:
         return tuple((x, self._eqs[x]) for x in self.vars)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EquationSystem) and self.equations == other.equations
-
-    def __hash__(self) -> int:
-        return hash(self.equations)
+    def _key(self) -> tuple:
+        return (self.equations,)
 
     def __repr__(self) -> str:
         eqs = "; ".join(f"{x} = {format_formula(f)}" for x, f in self.equations)
@@ -660,7 +706,7 @@ def _validate_body(body: Formula, owner: str, varset: FrozenSet[str]) -> None:
                 raise TypeError(f"not a formula: {f!r}")
 
 
-class EquationalFormula:
+class EquationalFormula(_Value):
     """An equation system with a distinguished initial variable."""
 
     __slots__ = ("system", "init")
@@ -668,15 +714,10 @@ class EquationalFormula:
     def __init__(self, system: EquationSystem, init: str):
         if init not in system.vars:
             raise UnboundVariable(f"initial variable {init!r} not among {list(system.vars)}")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "init", init)
+        self._set(system=system, init=init)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EquationalFormula)
-                and self.init == other.init and self.system == other.system)
-
-    def __hash__(self) -> int:
-        return hash((self.init, self.system))
+    def _key(self) -> tuple:
+        return (self.system, self.init)
 
     def __repr__(self) -> str:
         return f"EquationalFormula(init={self.init}, {self.system!r})"
@@ -703,7 +744,7 @@ def closure(sys: EquationSystem) -> FrozenSet[Formula]:
         return _children(f)
 
     clos = frozenset(_postorder([sys.eq(x) for x in sys.vars], kids))
-    object.__setattr__(sys, "_closure", clos)
+    sys._set(_closure=clos)
     return clos
 
 

@@ -43,7 +43,7 @@ from nablamu import (
     var,
     verify_conservative,
 )
-from nablamu.semantics import FrameBatch, first_stages, least_stable_stage
+from nablamu.semantics import FrameBatch, _run, first_stages, least_stable_stage
 from nablamu.syntax import Var, _postorder
 
 from conftest import FORMULA_CORPUS, full_corpus, random_instance, ref_eval, two_variable_corpus
@@ -535,6 +535,18 @@ def test_signature_length_must_match_variables():
     with pytest.raises(ValueError):
         sig_approx(var("x"), (Ordinal.natural(1), Ordinal.natural(1)),
                    REACH.system, CHAIN3)
+
+
+def test_finite_ordinal_signature_entries_are_capped():
+    two = parse_system(
+        "system\ninit: x\nx = or{p, nab{y}}\ny = or{q, nab{x}}\n")
+    cap = len(CHAIN3.states) * 2 + 1
+    for psi in (var("x"), var("y")):
+        want = sig_approx(psi, (10 ** 4, 2), two.system, CHAIN3)
+        assert sig_approx(psi, (Ordinal.natural(10 ** 4), 2), two.system, CHAIN3) == want
+        assert sig_approx(psi, (Ordinal.natural(cap), 2), two.system, CHAIN3) == want
+    run = _run(two.system, frame_index(CHAIN3))
+    assert len(run.sig) <= (cap + 1) ** 2
 
 
 def _recursive_sig_approx(psi, sig, system, frame):

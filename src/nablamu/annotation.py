@@ -289,10 +289,10 @@ def preceq_annotation(a: Annotation, b: Annotation) -> bool:
 
 def _closure_or_raise(theta: Annotation, system: EquationSystem) -> None:
     clos = closure(system)
-    foreign = [(min(next(_bits(m)) for _, m in pairs), f)
+    foreign = [(min(next(_bits(m)) for _, m in pairs), sort_key(f), f)
                for f, pairs in theta._table.items() if f not in clos]
     if foreign:
-        i, f = min(foreign, key=lambda pf: pf[0])
+        i, _, f = min(foreign, key=lambda entry: entry[:2])
         raise ForeignFormula(
             f"{format_formula(f)} at {theta.frame.states[i]} is not in the closure"
             " of the system"

@@ -9,8 +9,11 @@ The module also provides the generator zoo used throughout the test
 suite and the command line tool: linear chains, the tower frames whose
 closure stages grow without bound, seeded random frames, bounded
 unravellings, and an exhaustive enumerator of small frames up to state
-renaming.  Frames can be read and written in a small text format, as
-JSON, and (write-only) as DOT.
+renaming.  The random and the exhaustive generators share one draw
+format, states by position, and build a ``Frame`` only for callers that
+want one; the semantic oracle packs the draws straight into lanes.
+Frames can be read and written in a small text format, as JSON, and
+(write-only) as DOT.
 """
 
 from __future__ import annotations
@@ -319,9 +322,16 @@ def random_frame(
         raise InvalidParameter("random_frame needs at least one state")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameter("edge_prob must lie in [0, 1]")
-    states = [f"s{i}" for i in range(size)]
-    edges, labels = _random_draws(size, edge_prob, len(props), seed)
-    return Frame(states, [(states[k // size], states[k % size]) for k in edges],
+    return _drawn_frame(size, *_random_draws(size, edge_prob, len(props), seed), props)
+
+
+def _drawn_frame(n: int, edges: Iterable[int], labels: Sequence[Iterable[int]],
+                 props: Sequence[str]) -> Frame:
+    """The frame on states s0..s{n-1} of one draw: the edges i -> j as
+    row-major positions i * n + j and, aligned with ``props``, the
+    positions of each proposition's states."""
+    states = [f"s{i}" for i in range(n)]
+    return Frame(states, [(states[k // n], states[k % n]) for k in edges],
                  {p: [states[i] for i in members] for p, members in zip(props, labels)})
 
 
@@ -374,57 +384,47 @@ def enumerate_frames(
     renaming orbit: frames equal up to a permutation of state names are
     emitted once.
     """
+    props = tuple(props)
+    for n, edges, labels in _exhaustive_draws(max_states, len(props), dedup):
+        yield _drawn_frame(n, edges, labels, props)
+
+
+def _exhaustive_draws(max_states: int, nprops: int, dedup: bool = True) -> Iterator[tuple]:
+    """The draws of ``enumerate_frames``: per frame its state count n, then
+    its edges and labels as ``_random_draws`` gives them.
+
+    Per n it visits in (e, l) order the edge bit sets e (i -> j at bit
+    i * n + j) and label bit sets l (state i in proposition k at bit
+    k * n + i).  With ``dedup`` it keeps (e, l) when no state renaming p
+    has p(e) < e, and l <= p(l) for every p with p(e) = e: the least, so
+    the first, pair of its orbit.  Without it the identity is the only p.
+    """
     if max_states < 1:
         raise InvalidParameter("max_states must be at least 1")
-    props = tuple(props)
     for n in range(1, max_states + 1):
-        states = [f"s{i}" for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        edge_bits = n * n
-        label_bits = n * len(props)
-        perm_maps = []
-        if dedup:
-            for perm in itertools.permutations(range(n)):
-                emap = [perm[i] * n + perm[j] for i, j in pairs]
-                lmap = [p * n + perm[i] for p in range(len(props)) for i in range(n)]
-                perm_maps.append((emap, lmap))
-        seen: set = set()
-        for e in range(1 << edge_bits):
-            for l in range(1 << label_bits):
-                if dedup:
-                    best = None
-                    for emap, lmap in perm_maps:
-                        pe = 0
-                        rem = e
-                        pos = 0
-                        while rem:
-                            if rem & 1:
-                                pe |= 1 << emap[pos]
-                            rem >>= 1
-                            pos += 1
-                        pl = 0
-                        rem = l
-                        pos = 0
-                        while rem:
-                            if rem & 1:
-                                pl |= 1 << lmap[pos]
-                            rem >>= 1
-                            pos += 1
-                        if best is None or (pe, pl) < best:
-                            best = (pe, pl)
-                    if best in seen:
-                        continue
-                    seen.add(best)
-                edges = [
-                    (states[i], states[j])
-                    for idx, (i, j) in enumerate(pairs)
-                    if e >> idx & 1
-                ]
-                labels = {
-                    p: [states[i] for i in range(n) if l >> (pi * n + i) & 1]
-                    for pi, p in enumerate(props)
-                }
-                yield Frame(states, edges, labels)
+        perms = itertools.permutations(range(n)) if dedup else [range(n)]
+        images = [(_images([p[i] * n + p[j] for i in range(n) for j in range(n)]),
+                   _images([k * n + p[i] for k in range(nprops) for i in range(n)]))
+                  for p in perms]
+        label_sets = [tuple(tuple(i for i in range(n) if l >> k * n + i & 1) for k in range(nprops))
+                      for l in range(1 << n * nprops)]
+        for e in range(1 << n * n):
+            if any(pe[e] < e for pe, _ in images):
+                continue
+            fixing = [pl for pe, pl in images if pe[e] == e]
+            edges = tuple(k for k in range(n * n) if e >> k & 1)
+            for l, labels in enumerate(label_sets):
+                if all(l <= pl[l] for pl in fixing):
+                    yield n, edges, labels
+
+
+def _images(targets: Sequence[int]) -> List[int]:
+    """Per bit set x below 2 ** len(targets), its image when bit k moves
+    to bit targets[k]."""
+    images = [0]
+    for t in targets:
+        images += [x | 1 << t for x in images]
+    return images
 
 
 # ---------------------------------------------------------------------------

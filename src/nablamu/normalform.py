@@ -10,12 +10,12 @@ exhaustive small-frame sweep plus a randomized sweep.  A mismatch
 aborts the translation rather than shipping a wrong normal form.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
-per state count: the exhaustive frames are packed once per (max states,
-propositions), and the last few packings are kept without the closed
-leaves of any call; the random frames are drawn straight into lanes on
-every call with the draws of ``random_frame``.  Each batch is one
-stage run per system; input and output agree when the two stable masks
-are equal, and only the differing lanes are unpacked for the report.
+per state count, drawn straight into lanes with the draws of
+``enumerate_frames`` and ``random_frame``: the exhaustive ones once per
+(max states, propositions), keeping the last few packings without the
+closed leaves of any call, the random ones on every call.  Each batch is
+one stage run per system; input and output agree when the two stable
+masks are equal, and only the differing lanes are unpacked for the report.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .syntax import (
     is_conjunctive,
     sort_key,
 )
-from .frame import _random_draws, enumerate_frames
+from .frame import _exhaustive_draws, _random_draws
 from .semantics import FrameBatch, lane_closure_ordinals
 
 __all__ = [
@@ -484,12 +484,8 @@ def _exhaustive_batches(max_states: int, props: Tuple[str, ...]) -> Tuple[FrameB
     per state count, packed once per (max states, propositions) and kept
     for the last few such pairs."""
     groups: Dict[int, list] = {}
-    for fr in enumerate_frames(max_states, props):
-        n = len(fr.states)
-        pos = {s: i for i, s in enumerate(fr.states)}
-        groups.setdefault(n, []).append((
-            [pos[a] * n + pos[b] for a, b in fr.edges],
-            [[pos[s] for s in fr.label_states(p)] for p in props]))
+    for n, edges, labels in _exhaustive_draws(max_states, len(props)):
+        groups.setdefault(n, []).append((edges, labels))
     return tuple(FrameBatch(n, frames, props) for n, frames in groups.items())
 
 

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 from .ordinal import Ordinal, OMEGA, ZERO
 from .syntax import EquationSystem, Formula, Nabla, Var, _Value, format_formula, size, sort_key
 from .frame import TreeFrame
-from .annotation import AnnEntry, Annotation
+from .annotation import AnnEntry, Annotation, _entry_key
 
 __all__ = [
     "AnnotatedTree",
@@ -64,7 +64,7 @@ class AnnotatedTree(_Value):
         for s in tree.states:
             extra = phi.at(s) - theta.at(s)
             if extra:
-                f, a = next(iter(extra))
+                f, a = min(extra, key=_entry_key)
                 raise ValueError(
                     f"relevant entry {format_formula(f)} @ {a} at {s} is not"
                     " in the full annotation"

@@ -1,13 +1,15 @@
 """Shared fixtures: the system corpus, seeded random generators, the
 recursive reference evaluator, the per-frame reference oracle, the
-per-state reference annotation checkers, and the annotated descent
-spines used by the repetition-pair and pump tests."""
+bit-walk reference frame enumerator, the per-state reference annotation
+checkers, and the annotated descent spines used by the repetition-pair
+and pump tests."""
 
+import itertools
 import zlib
 from pathlib import Path
 from random import Random
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from nablamu import (
     Annotation,
@@ -22,6 +24,7 @@ from nablamu import (
     Formula,
     Frame,
     FrameIndex,
+    InvalidParameter,
     Mu,
     Nabla,
     NegProp,
@@ -179,6 +182,72 @@ def _ref_oracle_frames(eqf: EquationalFormula, exhaustive_max: int, random_count
         fr = random_frame(1 + i % 8, edge_prob=probs[i % 4],
                           props=prop_tuple, seed=seed + i)
         yield f"R#{i}", fr
+
+
+def ref_enumerate_frames(
+    max_states: int,
+    props: Sequence[str] = (),
+    dedup: bool = True,
+) -> Iterator[Frame]:
+    """The reference enumerator: all frames with 1..max_states states over
+    the given propositions, each (edge set, label set) pair walked bit by
+    bit under every renaming.
+
+    With ``dedup`` (the default) one representative is produced per
+    renaming orbit: frames equal up to a permutation of state names are
+    emitted once.
+    """
+    if max_states < 1:
+        raise InvalidParameter("max_states must be at least 1")
+    props = tuple(props)
+    for n in range(1, max_states + 1):
+        states = [f"s{i}" for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        edge_bits = n * n
+        label_bits = n * len(props)
+        perm_maps = []
+        if dedup:
+            for perm in itertools.permutations(range(n)):
+                emap = [perm[i] * n + perm[j] for i, j in pairs]
+                lmap = [p * n + perm[i] for p in range(len(props)) for i in range(n)]
+                perm_maps.append((emap, lmap))
+        seen: set = set()
+        for e in range(1 << edge_bits):
+            for l in range(1 << label_bits):
+                if dedup:
+                    best = None
+                    for emap, lmap in perm_maps:
+                        pe = 0
+                        rem = e
+                        pos = 0
+                        while rem:
+                            if rem & 1:
+                                pe |= 1 << emap[pos]
+                            rem >>= 1
+                            pos += 1
+                        pl = 0
+                        rem = l
+                        pos = 0
+                        while rem:
+                            if rem & 1:
+                                pl |= 1 << lmap[pos]
+                            rem >>= 1
+                            pos += 1
+                        if best is None or (pe, pl) < best:
+                            best = (pe, pl)
+                    if best in seen:
+                        continue
+                    seen.add(best)
+                edges = [
+                    (states[i], states[j])
+                    for idx, (i, j) in enumerate(pairs)
+                    if e >> idx & 1
+                ]
+                labels = {
+                    p: [states[i] for i in range(n) if l >> (pi * n + i) & 1]
+                    for pi, p in enumerate(props)
+                }
+                yield Frame(states, edges, labels)
 
 
 def ref_check_well_annotation(

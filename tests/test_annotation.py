@@ -348,6 +348,17 @@ def test_checker_rejects_foreign_formulas():
         check_well_annotation(ann, SYS.system, frame=CHAIN)
 
 
+def test_checker_names_the_least_foreign_formula_at_the_lowest_state():
+    # the least formula text at s0 wins over a lesser one at s1, whatever
+    # order the entries are hashed in
+    foreign = ["or{q, r}", "nab{q}", "r", "box r", "and{q, r}", "q"]
+    entries = {s: dict(theta) for s, theta in conservative(SYS.system, CHAIN).items()}
+    entries["s0"].update((parse_formula(text), 0) for text in foreign)
+    entries["s1"][parse_formula("and{p, q}")] = 0
+    with pytest.raises(ForeignFormula, match=r"^and\{q, r\} at s0 is not in the closure"):
+        check_well_annotation(Annotation(CHAIN, entries), SYS.system, frame=CHAIN)
+
+
 def test_uniform_left_bump_preserves_validity():
     theta = conservative(SYS.system, CHAIN)
     for delta in (Ordinal.natural(1), Ordinal.natural(7), OMEGA,

@@ -31,6 +31,8 @@ from nablamu import (
 )
 from nablamu.frame import _random_draws
 
+from conftest import ref_enumerate_frames
+
 
 # ---------------------------------------------------------------- basics
 
@@ -155,6 +157,21 @@ def test_enumerate_frames_dedup_is_orbit_representative():
     reps = {frozenset((s == "s1", t == "s1") for s, t in f.edges)
             for f in frames if len(f.states) == 2}
     assert len(frames) == 2 + len(reps)
+
+
+@pytest.mark.parametrize("max_states, props, dedup", [
+    (m, props, dedup)
+    for props in ((), ("p",), ("p", "q"), ("p", "q", "r"))
+    for m in ((1, 2, 3) if len(props) < 3 else (1, 2))
+    for dedup in (True, False)
+    if dedup or (m, len(props)) != (3, 2)  # 32 768 frames
+])
+def test_enumerate_frames_matches_the_reference(max_states, props, dedup):
+    got = list(enumerate_frames(max_states, props, dedup=dedup))
+    want = list(ref_enumerate_frames(max_states, props, dedup=dedup))
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a == b, k
 
 
 def test_unravel_tree_of_cycle():

@@ -278,6 +278,13 @@ def test_oracle_lanes_are_the_oracle_frames():
         assert sorted(seen) == list(range(len(labels)))
 
 
+def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():
+    frames = list(enumerate_frames(3, ("p",)))
+    lanes = [_lane_frame(batch, lane)
+             for batch in normalform._exhaustive_batches(3, ("p",)) for lane in range(batch.lanes)]
+    assert lanes == frames
+
+
 def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
     # twenty systems with twenty different closed mu leaves over p
     for k in range(1, 21):

@@ -62,6 +62,17 @@ def test_annotated_tree_requires_phi_inside_theta():
         AnnotatedTree(t.tree, t.theta, t.theta.with_entry("t0", X, 99))
 
 
+def test_annotated_tree_names_the_least_extra_entry_at_the_lowest_state():
+    t = descent_spine(3)
+    extra = {s: dict(t.theta.at(s)) for s in t.tree.states}
+    for text in ("or{q, r}", "nab{q}", "r", "box r", "and{q, r}", "q"):
+        extra["t1"][parse_formula(text)] = 7
+    extra["t2"][parse_formula("and{p, q}")] = 0
+    phi = Annotation(t.tree, extra).with_entry("t1", parse_formula("and{q, r}"), 5)
+    with pytest.raises(ValueError, match=r"^relevant entry and\{q, r\} @ 5 at t1 is not"):
+        AnnotatedTree(t.tree, t.theta, phi)
+
+
 def test_annotated_tree_requires_matching_frames():
     t = descent_spine(3)
     other = descent_spine(4)

@@ -90,13 +90,12 @@ class Frame(_Value):
         edge_set = frozenset((a, b) for a, b in edges)
         for a, b in edge_set:
             if a not in state_set or b not in state_set:
-                raise UnknownState(a if a not in state_set else b)
+                raise UnknownState(min(s for e in edge_set for s in e if s not in state_set))
         lab: Dict[str, FrozenSet[str]] = {}
         for p, members in (labels or {}).items():
             ms = frozenset(members)
-            for s in ms:
-                if s not in state_set:
-                    raise UnknownState(s)
+            if not ms <= state_set:
+                raise UnknownState(min(ms - state_set))
             if ms:
                 lab[p] = ms
         succ: Dict[str, set] = {s: set() for s in sts}
@@ -153,13 +152,14 @@ class TreeFrame(Frame):
         super().__init__(states, edges, labels)
         if root not in self._state_set:
             raise UnknownState(root)
-        parent: Dict[str, Optional[str]] = {root: None}
-        for a, b in self.edges:
-            if b == root:
-                raise NotATree(f"edge into the root {root!r}")
-            if b in parent and parent.get(b) is not None:
-                raise NotATree(f"state {b!r} has two parents")
-            parent[b] = a
+        parent: Dict[str, Optional[str]] = {b: a for a, b in self.edges}
+        if root in parent:
+            raise NotATree(f"edge into the root {root!r}")
+        if len(parent) < len(self.edges):
+            heads = sorted(b for _, b in self.edges)
+            twice = min(b for b, c in zip(heads, heads[1:]) if b == c)
+            raise NotATree(f"state {twice!r} has two parents")
+        parent[root] = None
         if len(self.edges) != len(self.states) - 1:
             raise NotATree("a tree on n states has exactly n-1 edges")
         seen = self.subtree_states(root)

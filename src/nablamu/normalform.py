@@ -7,7 +7,9 @@ equation system into conjunctive shape (every clause a disjunction of
 closed formulas plus exactly one cover modality over variables),
 verifying each translation against a semantic-equivalence oracle on an
 exhaustive small-frame sweep plus a randomized sweep.  A mismatch
-aborts the translation rather than shipping a wrong normal form.
+aborts the translation rather than shipping a wrong normal form.  Both
+rewrites walk set members in ``sort_key`` order, so the fresh names
+depend on the input alone.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
 per state count, drawn straight into lanes with the draws of
@@ -28,8 +30,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 from .syntax import (
     BigAnd,
     BigOr,
-    Box,
-    Dia,
     EquationSystem,
     EquationalFormula,
     Formula,
@@ -40,8 +40,10 @@ from .syntax import (
     Prop,
     UnguardedVariable,
     Var,
+    _children,
     _first_nonconjunctive,
     _postorder,
+    _rebuild,
     desugar,
     format_formula,
     format_system,
@@ -49,6 +51,7 @@ from .syntax import (
     is_closed,
     is_conjunctive,
     sort_key,
+    substitute,
 )
 from .frame import _exhaustive_draws, _random_draws
 from .semantics import FrameBatch, lane_closure_ordinals
@@ -141,37 +144,33 @@ def _payload_gadget(psi: Formula, zbot: str) -> Formula:
     }))
 
 
+def _members(f: Formula, kinds: tuple = (BigAnd, BigOr)) -> List[Formula]:
+    """The members of an and/or (or of a node of ``kinds``), listed so
+    that ``_postorder``, which takes the last kid first, visits them in
+    ``sort_key`` order; none for other nodes."""
+    return sorted(_children(f), key=sort_key, reverse=True) if isinstance(f, kinds) else []
+
+
 def _resolve_unguarded(bodies: Dict[str, Formula]) -> Dict[str, Formula]:
     """Substitute defining bodies for variable occurrences that sit at
     the top boolean layer of an equation, so that every remaining
-    occurrence is guarded.  A substitution cycle means the original
-    binding was itself unguarded."""
+    occurrence is guarded.  The variables are resolved after those they
+    read there; reading one not yet resolved closes a substitution
+    cycle, which means the original binding was itself unguarded."""
+    layer = {v: _postorder((body,), _members) for v, body in bodies.items()}
     resolved: Dict[str, Formula] = {}
-    active: Set[str] = set()
-
-    def res(v: str) -> Formula:
-        if v in resolved:
-            return resolved[v]
-        if v in active:
-            raise UnguardedVariable(
-                f"variable {v!r} occurs unguarded in its own unfolding")
-        active.add(v)
-        out = sub(bodies[v])
-        active.discard(v)
-        resolved[v] = out
-        return out
-
-    def sub(f: Formula) -> Formula:
-        if isinstance(f, Var) and f.name in bodies:
-            return res(f.name)
-        if isinstance(f, BigAnd):
-            return BigAnd(frozenset(sub(a) for a in f.args))
-        if isinstance(f, BigOr):
-            return BigOr(frozenset(sub(a) for a in f.args))
-        return f
-
-    for v in list(bodies):
-        res(v)
+    for v in _postorder(bodies, lambda v: [
+            g.name for g in layer[v] if isinstance(g, Var) and g.name in bodies]):
+        new: Dict[Formula, Formula] = {}
+        for g in layer[v]:
+            if isinstance(g, Var) and g.name in bodies:
+                if g.name not in resolved:
+                    raise UnguardedVariable(
+                        f"variable {g.name!r} occurs unguarded in its own unfolding")
+                new[g] = resolved[g.name]
+            else:
+                new[g] = _rebuild(g, new) if isinstance(g, (BigAnd, BigOr)) else g
+        resolved[v] = new[bodies[v]]
     return resolved
 
 
@@ -182,8 +181,9 @@ def _resolve_unguarded(bodies: Dict[str, Formula]) -> Dict[str, Formula]:
 
 def to_equational(phi: Formula) -> EquationalFormula:
     """Replace the external least-fixpoint operators of a closed formula
-    by equations.  A formula with no external fixpoint at all becomes a
-    fresh guarded variable via the two-conjunct gadget."""
+    by equations, one per distinct open binder.  A formula with no
+    external fixpoint at all becomes a fresh guarded variable via the
+    two-conjunct gadget."""
     fv = free_vars(phi)
     if fv:
         raise NotSigmaFragment(f"formula has free variables {sorted(fv)}")
@@ -205,42 +205,32 @@ def to_equational(phi: Formula) -> EquationalFormula:
         used.add(name)
         return name
 
-    def walk(f: Formula, env: Dict[str, str]) -> Formula:
-        match f:
-            case Prop() | NegProp():
-                return f
-            case Var(v):
-                return Var(env[v])
-            case BigAnd(args):
-                return BigAnd(frozenset(walk(a, env) for a in args))
-            case BigOr(args):
-                return BigOr(frozenset(walk(a, env) for a in args))
-            case Nabla(args):
-                return Nabla(frozenset(walk(a, env) for a in args))
-            case Box(arg):
-                return Box(walk(arg, env))
-            case Dia(arg):
-                return Dia(walk(arg, env))
-            case Mu(v, body):
-                if is_closed(f) and f is not phi:
-                    return f
-                name = eqname_for(v)
+    new: Dict[Formula, Formula] = {}
+
+    def walk(f: Formula) -> Formula:
+        """``f`` with its open ``mu`` binders (and a root one) replaced
+        by their equation variables; neither closed subformulas nor
+        binders are entered, and each binder's equation is made once."""
+        for g in _postorder((f,), lambda g: () if g in new or not g.fv or isinstance(g, (Mu, Nu))
+                            else _members(g, Formula)):
+            if g in new:
+                continue
+            if isinstance(g, Mu) and (g.fv or g is phi):
+                name = eqname_for(g.var)
+                new[g] = Var(name)
                 slot = len(equations)
                 equations.append(None)
-                equations[slot] = (name, walk(body, {**env, v: name}))
-                return Var(name)
-            case Nu(v, _):
-                if is_closed(f):
-                    return f
-                raise NotSigmaFragment(
-                    f"open greatest fixpoint {format_formula(f)}")
-        raise TypeError(f"not a formula: {f!r}")
+                equations[slot] = (name, walk(substitute(g.body, g.var, Var(name))))
+            elif isinstance(g, Nu) and g.fv:
+                raise NotSigmaFragment(f"open greatest fixpoint {format_formula(g)}")
+            else:
+                new[g] = _rebuild(g, new) if g.fv else g
+        return new[f]
 
-    walked = walk(phi, {})
-    pairs: List[Tuple[str, Formula]]
+    walked = walk(phi)
     if equations:
         init = equations[0][0]
-        pairs = [e for e in equations if e is not None]
+        pairs = equations
     else:
         names = _fresh_names(used)
         init = next(names)
@@ -337,43 +327,38 @@ class _Conjunctivizer:
     # -- phase i: hoist non-variable cover arguments ------------------------
 
     def hoist(self, f: Formula) -> Formula:
-        if is_closed(f):
-            return f
-        match f:
-            case Var():
-                return f
-            case BigAnd(args):
-                return BigAnd(frozenset(self.hoist(a) for a in args))
-            case BigOr(args):
-                return BigOr(frozenset(self.hoist(a) for a in args))
-            case Nabla(args):
-                new: Set[Formula] = set()
-                for a in sorted(args, key=sort_key):
-                    if isinstance(a, Var):
-                        new.add(a)
-                    elif is_closed(a):
-                        new.add(Var(self.closed_var(a)))
-                    else:
-                        new.add(Var(self.open_var(a)))
-                return Nabla(frozenset(new))
-        raise TranslationFailure(
-            f"irreducible open subterm {format_formula(f)}", subterm=f)
+        new: Dict[Formula, Formula] = {}
+        for g in _postorder((f,), lambda g: _members(g) if g.fv else ()):
+            if not g.fv or isinstance(g, Var):
+                new[g] = g
+            elif isinstance(g, (BigAnd, BigOr)):
+                new[g] = _rebuild(g, new)
+            elif isinstance(g, Nabla):
+                new[g] = Nabla([a if isinstance(a, Var) else
+                                Var(self.closed_var(a) if is_closed(a) else self.open_var(a))
+                                for a in sorted(g.args, key=sort_key)])
+            else:
+                raise TranslationFailure(
+                    f"irreducible open subterm {format_formula(g)}", subterm=g)
+        return new[f]
 
     # -- phase ii: conjunctive normal form over cover/closed atoms ----------
 
-    def cnf(self, f: Formula) -> Set[FrozenSet[Formula]]:
-        if isinstance(f, BigAnd):
-            out: Set[FrozenSet[Formula]] = set()
-            for a in f.args:
-                out |= self.cnf(a)
-            return out
-        if isinstance(f, BigOr):
-            acc: Set[FrozenSet[Formula]] = {frozenset()}
-            for a in f.args:
-                parts = self.cnf(a)
-                acc = {c | d for c in acc for d in parts}
-            return acc
-        return {frozenset({f})}
+    def cnf(self, f: Formula) -> List[FrozenSet[Formula]]:
+        """The clauses of ``f`` as a conjunction of disjunctions of its
+        non-and/or subformulas, ordered by their members' ``sort_key``s."""
+        new: Dict[Formula, Set[FrozenSet[Formula]]] = {}
+        for g in _postorder((f,), _members):
+            if isinstance(g, BigAnd):
+                new[g] = set().union(*(new[a] for a in g.args))
+            elif isinstance(g, BigOr):
+                acc: Set[FrozenSet[Formula]] = {frozenset()}
+                for a in g.args:
+                    acc = {c | d for c in acc for d in new[a]}
+                new[g] = acc
+            else:
+                new[g] = {frozenset((g,))}
+        return sorted(new[f], key=lambda c: sorted(map(sort_key, c)))
 
     # -- phase iii: one cover modality per clause ----------------------------
 

@@ -28,16 +28,17 @@ rebuilding through the constructor.
 
 Passes over formulas and trees share one explicit-stack walk,
 ``_postorder``, which lists each distinct reachable node once, after
-its kids: ``desugar``, ``substitute``, ``closure``, the stage-program
-compiler, ``normalform``'s name scans and ``frame.tree_canonical_form``
-run on it, so none is bounded by the recursion limit.  Recursive on
-purpose: the parser; ``format_formula``, since an iterative printer
-would keep a string per level of a deep nest (quadratic memory);
-``FrameIndex.eval``, once per level of binder nesting; and
-``normalform``'s ``to_equational`` walk, ``hoist``/``cnf`` and
-``_resolve_unguarded``, whose binder environment or visiting order
-names fresh variables.  ``_validate_body`` keeps its own stack to track
-guardedness per path.
+its kids, and rebuild through ``_rebuild``: ``desugar``,
+``substitute``, ``closure``, the stage-program compiler,
+``frame.tree_canonical_form`` and ``normalform``'s name scans and
+rewrites run on it, so none is bounded by the recursion limit.  The
+rewrites, which name fresh variables, hand the walk set members in
+``sort_key`` order; ``_children`` and ``_postorder`` never sort, since
+``sort_key`` prints.  Recursive on purpose: the parser;
+``format_formula``, since an iterative printer would keep a string per
+level of a deep nest (quadratic memory); ``FrameIndex.eval`` and
+``normalform.to_equational``, once per level of binder nesting.
+``_validate_body`` keeps its own stack to track guardedness per path.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ def desugar(f: Formula) -> Formula:
 
 def substitute(f: Formula, name: str, value: Formula) -> Formula:
     """Replace free occurrences of Var(name).  The replacement is assumed
-    closed (the only use is fixpoint unfolding), so no capture arises."""
+    closed (fixpoint unfolding) or a variable that no binder in ``f``
+    binds (renaming a binder to its equation), so no capture arises."""
     _check(f)
     new: Dict[Formula, Formula] = {Var(name): value}
     for g in _postorder((f,), lambda g: _children(g) if name in g.fv else ()):
@@ -679,16 +681,22 @@ class EquationSystem(_Value):
 
 def _validate_body(body: Formula, owner: str, varset: FrozenSet[str]) -> None:
     """Equation bodies are quantifier-free over X and closed formulas;
-    X-variables must sit under at least one nabla."""
+    X-variables must sit under at least one nabla.  Of several faults,
+    an unbound variable comes first, then an unguarded one, then an
+    open quantifier, and of several of one kind the least: variables
+    by name, quantifiers by ``sort_key``."""
+    unbound: Set[str] = set()
+    unguarded: Set[str] = set()
+    open_binders: Set[Formula] = set()
     stack = [(body, False)]
     while stack:
         f, guarded = stack.pop()
         match f:
             case Var(name):
                 if name not in varset:
-                    raise UnboundVariable(f"variable {name!r} in equation for {owner!r} has no equation")
-                if not guarded:
-                    raise UnguardedVariable(f"variable {name!r} unguarded in equation for {owner!r}")
+                    unbound.add(name)
+                elif not guarded:
+                    unguarded.add(name)
             case Prop() | NegProp():
                 pass
             case BigAnd(args) | BigOr(args):
@@ -697,13 +705,20 @@ def _validate_body(body: Formula, owner: str, varset: FrozenSet[str]) -> None:
                 stack.extend((a, True) for a in args)
             case Mu() | Nu():
                 if f.fv:
-                    raise OpenQuantifier(
-                        f"quantified subformula {format_formula(f)!r} in equation for {owner!r} "
-                        f"has free variables {sorted(f.fv)}")
+                    open_binders.add(f)
             case Box(arg) | Dia(arg):
                 stack.append((arg, True))
             case _:
                 raise TypeError(f"not a formula: {f!r}")
+    if unbound:
+        raise UnboundVariable(f"variable {min(unbound)!r} in equation for {owner!r} has no equation")
+    if unguarded:
+        raise UnguardedVariable(f"variable {min(unguarded)!r} unguarded in equation for {owner!r}")
+    if open_binders:
+        f = min(open_binders, key=sort_key)
+        raise OpenQuantifier(
+            f"quantified subformula {format_formula(f)!r} in equation for {owner!r} "
+            f"has free variables {sorted(f.fv)}")
 
 
 class EquationalFormula(_Value):

@@ -386,6 +386,28 @@ def test_conjunctive_verb(capsys, files):
     assert lines[-1].endswith("; mismatches: 0")
 
 
+def test_conjunctive_fresh_names_depend_on_the_input_alone(capsys, tmp_path):
+    # the fresh names once followed the order of formula sets in memory,
+    # which moved from run to run (_y1 was closed payload q or ff)
+    path = tmp_path / "r93.mes"
+    path.write_text("system\ninit: x0\nx0 = and{box x0, nab{q, x0}, p}\n"
+                    "x1 = and{box x0, nab{}}\n")
+    code, out, _ = run(capsys, ["conjunctive", "--system", str(path)])
+    assert (code, out) == (0, (
+        "system\n"
+        "init: x0\n"
+        "x0 = and{nab{_y1, x0}, nab{_y2, x0}, or{nab{_y0}, p}, or{nab{}, p}}\n"
+        "x1 = and{nab{_y1, x0}, nab{}}\n"
+        "_y0 = and{nab{_y0}, nab{}}\n"
+        "_y1 = and{nab{_y0}, nab{}}\n"
+        "_y2 = and{or{nab{_y0}, q}, or{nab{}, q}}\n"
+        "# fresh variables:\n"
+        "#   _y0: bottom variable (deadlock anchor)\n"
+        "#   _y1: closed payload ff\n"
+        "#   _y2: closed payload q\n"
+        "# frames checked: 6372; mismatches: 0\n"))
+
+
 # -------------------------------------------------------------- generators
 
 def test_gen_chain(capsys):

@@ -1,7 +1,11 @@
 """Compilation of least-fixpoint formulas to equation systems and the
 conjunctive-shape rewriting with its semantic oracle."""
 
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +15,10 @@ from nablamu import (
     TranslationFailure,
     TranslationReport,
     UnguardedVariable,
+    denotation,
     desugar,
     enumerate_frames,
+    eval_formula,
     format_formula,
     format_system,
     is_conjunctive,
@@ -25,7 +31,15 @@ from nablamu import (
 from nablamu import normalform
 from nablamu.normalform import _oracle_batches
 
-from conftest import corpus_formulas, full_corpus, ref_oracle
+from conftest import FORMULA_CORPUS, corpus_formulas, full_corpus, ref_oracle
+
+TESTS = Path(__file__).resolve().parent
+
+# An open binder shared by two members, two sibling open binders, and an
+# open binder that shadows an enclosing one.
+SHARED_BINDER = "mu z. and{nab{mu x. or{nab{x}, nab{z}}}, or{nab{mu x. or{nab{x}, nab{z}}}, p}}"
+SIBLING_BINDERS = "mu z. and{nab{mu x. or{nab{x}, nab{z}}}, nab{mu y. or{nab{y}, nab{z}, p}}}"
+SHADOWED_BINDER = "mu x. or{p, dia (mu y. or{dia x, dia (mu x. or{q, dia x, dia y})})}"
 
 
 # ------------------------------------------------- formula -> equations
@@ -97,6 +111,32 @@ def test_unguarded_cross_reference_is_resolved():
             "nab{x}", "")
 
 
+def test_shared_open_binder_becomes_one_equation():
+    eqf = to_equational(parse_formula(SHARED_BINDER))
+    assert format_system(eqf) == (
+        "system\ninit: z\nz = and{nab{x}, or{nab{x}, p}}\nx = or{nab{x}, nab{z}}\n")
+
+
+def test_sibling_and_shadowed_binders_get_their_own_equations():
+    eqf = to_equational(parse_formula(SIBLING_BINDERS))
+    assert format_system(eqf) == (
+        "system\ninit: z\nz = and{nab{x}, nab{y}}\n"
+        "x = or{nab{x}, nab{z}}\ny = or{nab{y}, nab{z}, p}\n")
+    eqf = to_equational(parse_formula(SHADOWED_BINDER, keep_sugar=True))
+    assert format_system(eqf) == (
+        "system\ninit: x\nx = or{dia y, p}\ny = or{dia x, dia x2}\n"
+        "x2 = or{dia x2, dia y, q}\n")
+
+
+def test_equational_form_denotes_its_formula_on_small_frames():
+    for text in FORMULA_CORPUS + (SHARED_BINDER, SIBLING_BINDERS, SHADOWED_BINDER):
+        phi = parse_formula(text, keep_sugar=True)
+        eqf = to_equational(phi)
+        props = tuple(sorted(normalform._prop_names((phi,))))
+        for frame in enumerate_frames(3, props):
+            assert denotation(eqf, frame) == eval_formula(phi, frame), (text, frame)
+
+
 # --------------------------------------------- systems -> conjunctive shape
 
 def test_nested_cover_is_hoisted():
@@ -148,6 +188,30 @@ def test_already_conjunctive_systems_pass_through():
     out, report = to_conjunctive(eqf, exhaustive_max=2, random_count=20)
     assert format_system(out) == format_system(eqf)
     assert report.fresh == ()
+
+
+REWRITE_PROBE = """
+import sys
+from conftest import random_system
+from nablamu import format_system, parse_formula, to_conjunctive
+for i in range(int(sys.argv[1])):
+    parse_formula(f"and{{p{i}, nab{{q{i}, r}}, or{{s{i}, t}}}}")
+for seed in (15, 19, 24, 29, 33, 52, 74, 76, 93, 109):
+    out, report = to_conjunctive(random_system(seed), exhaustive_max=1, random_count=0)
+    print(format_system(out), report.fresh)
+"""
+
+
+def test_rewrite_names_do_not_depend_on_earlier_allocations():
+    # systems whose fresh names once moved with the memory layout, after
+    # none and after many unrelated formulas were made
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    procs = [subprocess.Popen([sys.executable, "-c", REWRITE_PROBE, str(junk)],
+                              stdout=subprocess.PIPE, text=True, env=env) for junk in (0, 5000)]
+    outs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1]
+    assert outs[0].count("init: x0") == 10
 
 
 def test_oversized_cover_distribution_is_refused():

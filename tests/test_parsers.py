@@ -2,15 +2,22 @@
 or raises one of its documented ``ValueError`` subclasses, and those
 errors survive pickling."""
 
+import os
 import pickle
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nablamu import (
     AnnotationParseError,
+    EquationSystem,
     FrameParseError,
+    Mu,
+    Nabla,
     NegatedVariable,
     OpenQuantifier,
     Ordinal,
@@ -18,6 +25,8 @@ from nablamu import (
     TranslationFailure,
     UnboundVariable,
     UnguardedVariable,
+    Var,
+    disj,
     parse_annotation,
     parse_formula,
     parse_frame,
@@ -157,3 +166,48 @@ def test_errors_survive_pickling(exc):
     assert str(back) == str(exc)
     for attr in ("message", "line", "col", "mismatches"):
         assert getattr(back, attr, None) == getattr(exc, attr, None)
+
+
+# Inputs with several faults of one kind (or of several kinds), and the
+# one message each must give: the first kind in a fixed precedence, and
+# the least offender of that kind.
+OFFENDERS = {
+    "states: s0 s1\nedges: s0->a s0->b s1->c s1->d\n": "'a'",
+    "states: s0\nlabels: p: w u v\n": "'u'",
+    "states: r a b\nedges: r->b a->b a->r\nroot: r\n": "edge into the root 'r'",
+    "states: r a b c d\nedges: r->a r->b a->d b->d a->c b->c\nroot: r\n": "state 'c' has two parents",
+    "system\ninit: x\nx = or{x, y, z, w}\ny = nab{y}\nz = nab{z}\nw = nab{w}\n":
+        "variable 'w' unguarded in equation for 'x'",
+    "system\ninit: x\nx = or{mu c. nab{c, x}, mu a. nab{a, x}, mu b. nab{b, x}}\n":
+        "quantified subformula 'mu a. nab{a, x}' in equation for 'x' has free variables ['x']",
+    "system\ninit: x\nx = or{mu a. nab{a, x}, x, nab{x}}\n": "variable 'x' unguarded in equation for 'x'",
+}
+
+OFFENDER_PROBE = """
+import sys
+from nablamu import parse_formula, parse_frame, parse_system
+for i in range(int(sys.argv[1])):
+    parse_formula(f"and{{p{i}, nab{{q{i}, r}}}}")
+for text in sys.argv[2:]:
+    try:
+        (parse_system if text.startswith("system") else parse_frame)(text)
+    except ValueError as exc:
+        print(str(exc).replace(chr(10), " "))
+"""
+
+
+def test_errors_name_one_offender_under_any_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    procs = [subprocess.Popen([sys.executable, "-c", OFFENDER_PROBE, str(1000 * seed), *OFFENDERS],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed)))
+             for seed in range(4)]
+    outs = {proc.communicate()[0] for proc in procs}
+    assert [proc.returncode for proc in procs] == [0] * 4
+    assert outs == {"".join(m + "\n" for m in OFFENDERS.values())}
+
+
+def test_unbound_variable_comes_before_the_other_faults():
+    body = disj(Var("x"), Var("z"), Var("y"), Mu("a", Nabla((Var("a"), Var("x")))))
+    with pytest.raises(UnboundVariable, match="variable 'y' in equation for 'x' has no equation"):
+        EquationSystem([("x", body)])

@@ -50,7 +50,12 @@ __all__ = [
 
 
 class UnknownState(KeyError):
-    """A state name that does not belong to the frame."""
+    """A state name that does not belong to the frame: ``args[0]`` is the
+    name, and an optional second argument says where it was met."""
+
+    def __str__(self) -> str:
+        text = f"unknown state {self.args[0]!r}"
+        return f"{self.args[1]}: {text}" if len(self.args) > 1 else text
 
 
 class InvalidParameter(ValueError):
@@ -90,12 +95,13 @@ class Frame(_Value):
         edge_set = frozenset((a, b) for a, b in edges)
         for a, b in edge_set:
             if a not in state_set or b not in state_set:
-                raise UnknownState(min(s for e in edge_set for s in e if s not in state_set))
+                bad = min(s for e in edge_set for s in e if s not in state_set)
+                raise UnknownState(bad, "edge {}->{}".format(*min(e for e in edge_set if bad in e)))
         lab: Dict[str, FrozenSet[str]] = {}
         for p, members in (labels or {}).items():
             ms = frozenset(members)
             if not ms <= state_set:
-                raise UnknownState(min(ms - state_set))
+                raise UnknownState(min(ms - state_set), f"label {p}")
             if ms:
                 lab[p] = ms
         succ: Dict[str, set] = {s: set() for s in sts}
@@ -322,7 +328,8 @@ def random_frame(
         raise InvalidParameter("random_frame needs at least one state")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameter("edge_prob must lie in [0, 1]")
-    return _drawn_frame(size, *_random_draws(size, edge_prob, len(props), seed), props)
+    draws = _random_draws(size, edge_prob, len(props), Random(seed).random)
+    return _drawn_frame(size, *draws, props)
 
 
 def _drawn_frame(n: int, edges: Iterable[int], labels: Sequence[Iterable[int]],
@@ -335,12 +342,12 @@ def _drawn_frame(n: int, edges: Iterable[int], labels: Sequence[Iterable[int]],
                  {p: [states[i] for i in members] for p, members in zip(props, labels)})
 
 
-def _random_draws(size: int, edge_prob: float, nprops: int, seed: int
+def _random_draws(size: int, edge_prob: float, nprops: int, rand: Callable[[], float]
                   ) -> Tuple[List[int], List[List[int]]]:
-    """The draws of ``random_frame`` by state position: the edges i -> j
-    as row-major positions i * size + j, then per proposition the
+    """The draws of ``random_frame`` by state position, taken from
+    ``rand`` (a generator's ``random``) one after another: the edges
+    i -> j as row-major positions i * size + j, then per proposition the
     labelled positions."""
-    rand = Random(seed).random
     edges = [k for k in range(size * size) if rand() < edge_prob]
     labels = [[i for i in range(size) if rand() < 0.5] for _ in range(nprops)]
     return edges, labels

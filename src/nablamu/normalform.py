@@ -13,9 +13,10 @@ depend on the input alone.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
 per state count, drawn straight into lanes with the draws of
-``enumerate_frames`` and ``random_frame``: the exhaustive ones once per
-(max states, propositions), keeping the last few packings without the
-closed leaves of any call, the random ones on every call.  Each batch is
+``enumerate_frames`` and ``random_frame``: the exhaustive ones packed
+and labelled once per (max states, propositions), keeping the last few
+packings without the closed leaves of any call, the random ones on every
+call from one seeded generator per state count.  Each batch is
 one stage run per system; input and output agree when the two stable
 masks are equal, and only the differing lanes are unpacked for the report.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from functools import lru_cache
+from random import Random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .syntax import (
@@ -464,14 +466,22 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
 
 
 @lru_cache(maxsize=8)
-def _exhaustive_batches(max_states: int, props: Tuple[str, ...]) -> Tuple[FrameBatch, ...]:
-    """The exhaustive frames up to ``max_states`` states, one lane batch
-    per state count, packed once per (max states, propositions) and kept
-    for the last few such pairs."""
+def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
+                        ) -> Tuple[Tuple[str, ...], Tuple[Tuple[FrameBatch, range], ...]]:
+    """The exhaustive frames up to ``max_states`` states: their labels
+    ``E<n>#<k>`` in report order, and one lane batch per state count n
+    with the report position k of each lane.  Packed and labelled once
+    per (max states, propositions) and kept for the last few such pairs."""
     groups: Dict[int, list] = {}
     for n, edges, labels in _exhaustive_draws(max_states, len(props)):
         groups.setdefault(n, []).append((edges, labels))
-    return tuple(FrameBatch(n, frames, props) for n, frames in groups.items())
+    names: List[str] = []
+    batches = []
+    for n, frames in groups.items():
+        where = range(len(names), len(names) + len(frames))
+        names += [f"E{n}#{k}" for k in where]
+        batches.append((FrameBatch(n, frames, props), where))
+    return tuple(names), tuple(batches)
 
 
 def _oracle_batches(
@@ -482,23 +492,26 @@ def _oracle_batches(
     """The oracle frames' labels in report order, and their lane batches
     with the report position of each lane: the exhaustive frames, then
     ``random_count`` seeded random frames of 1-8 states, drawn straight
-    into one batch per size."""
+    into one batch per size.
+
+    With ``seed`` the CRC of the system's text, lane ``R#i`` has
+    n = 1 + i % 8 states and is draw number i // 8 from
+    ``Random(seed + n - 1)``, with edge probability
+    ``(0.15, 0.3, 0.5, 0.7)[i % 4]``: one generator per size, so
+    ``R#0``-``R#7`` are ``random_frame(1 + i, probs[i % 4], props, seed + i)``."""
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
-    labels: List[str] = []
-    batches = []
-    for batch in _exhaustive_batches(exhaustive_max, props):
-        where = range(len(labels), len(labels) + batch.lanes)
-        labels += [f"E{batch.n}#{k}" for k in where]
-        batches.append((batch, where))
-    first = len(labels)
-    labels += [f"R#{i}" for i in range(random_count)]
+    names, exhaustive = _exhaustive_batches(exhaustive_max, props)
+    first = len(names)
+    labels = [*names, *(f"R#{i}" for i in range(random_count))]
+    batches = list(exhaustive)
     seed = zlib.crc32(format_system(eqf).encode())
     probs = (0.15, 0.3, 0.5, 0.7)
     for size in range(1, 9):
-        nums = range(size - 1, random_count, 8)
-        if nums:
-            frames = [_random_draws(size, probs[i % 4], len(props), seed + i) for i in nums]
-            batches.append((FrameBatch(size, frames, props), range(first + size - 1, len(labels), 8)))
+        where = range(first + size - 1, len(labels), 8)
+        if where:
+            rand = Random(seed + size - 1).random
+            frames = [_random_draws(size, probs[(size - 1) % 4], len(props), rand) for _ in where]
+            batches.append((FrameBatch(size, frames, props), where))
     return labels, batches
 
 
@@ -509,7 +522,14 @@ def to_conjunctive(
     random_count: int = 500,
 ) -> Tuple[EquationalFormula, TranslationReport]:
     """Rewrite an equation system into conjunctive shape and verify the
-    rewrite semantically on every oracle frame."""
+    rewrite semantically on every oracle frame.
+
+    The oracle frames are the frames of up to ``exhaustive_max`` states
+    over the system's propositions, one per renaming orbit (``E<n>#<k>``),
+    then ``random_count`` random frames.  With ``seed`` the CRC-32 of the
+    system's text, ``R#i`` has n = 1 + i % 8 states and is draw number
+    i // 8 from ``Random(seed + n - 1)``, with edge probability
+    ``(0.15, 0.3, 0.5, 0.7)[i % 4]``."""
     worker = _Conjunctivizer(eqf)
     out = worker.run()
     if not is_conjunctive(out.system):

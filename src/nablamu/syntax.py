@@ -38,7 +38,8 @@ rewrites, which name fresh variables, hand the walk set members in
 ``format_formula``, since an iterative printer would keep a string per
 level of a deep nest (quadratic memory); ``FrameIndex.eval`` and
 ``normalform.to_equational``, once per level of binder nesting.
-``_validate_body`` keeps its own stack to track guardedness per path.
+``_validate_body`` keeps its own stack to track guardedness, and checks
+each (subformula, guarded) pair once.
 """
 
 from __future__ import annotations
@@ -689,8 +690,13 @@ def _validate_body(body: Formula, owner: str, varset: FrozenSet[str]) -> None:
     unguarded: Set[str] = set()
     open_binders: Set[Formula] = set()
     stack = [(body, False)]
+    seen: Set[Tuple[Formula, bool]] = set()
     while stack:
-        f, guarded = stack.pop()
+        item = stack.pop()
+        if item in seen:  # shared subformulas are checked once per guardedness
+            continue
+        seen.add(item)
+        f, guarded = item
         match f:
             case Var(name):
                 if name not in varset:

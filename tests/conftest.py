@@ -176,12 +176,18 @@ def _ref_oracle_frames(eqf: EquationalFormula, exhaustive_max: int, random_count
     prop_tuple = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     for i, fr in enumerate(enumerate_frames(exhaustive_max, prop_tuple)):
         yield f"E{len(fr.states)}#{i}", fr
+    # R#i has n = 1 + i % 8 states and is the (i // 8)-th frame drawn
+    # from Random(seed + n - 1): per frame, by state name, one edge pair
+    # after the other, then one label draw per proposition and state
     seed = zlib.crc32(format_system(eqf).encode())
     probs = (0.15, 0.3, 0.5, 0.7)
+    rngs = [Random(seed + k) for k in range(8)]
     for i in range(random_count):
-        fr = random_frame(1 + i % 8, edge_prob=probs[i % 4],
-                          props=prop_tuple, seed=seed + i)
-        yield f"R#{i}", fr
+        n, rng = 1 + i % 8, rngs[i % 8]
+        states = [f"s{j}" for j in range(n)]
+        edges = [(a, b) for a in states for b in states if rng.random() < probs[i % 4]]
+        labels = {p: [s for s in states if rng.random() < 0.5] for p in prop_tuple}
+        yield f"R#{i}", Frame(states, edges, labels)
 
 
 def ref_enumerate_frames(

@@ -179,6 +179,18 @@ def test_co_text_and_json(capsys, files):
     assert json.loads(out) == {"closure_ordinal": 3}
 
 
+def test_frame_errors_name_the_edge_or_label_and_the_unknown_state(capsys, files):
+    tmp = files["tmp"]
+    for text, message in (
+            ("states: s0\nedges: s0->a\n", "edge s0->a: unknown state 'a'"),
+            ("states: s0\nlabels: p: s0 zz\n", "label p: unknown state 'zz'"),
+            ("states: s0 s1\nedges: s1->c s0->b s0->c\n", "edge s0->b: unknown state 'b'")):
+        (tmp / "bad.frame").write_text(text)
+        code, out, err = run(capsys, ["co", "--system", files["sys"],
+                                      "--frame", str(tmp / "bad.frame")])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_co_rejects_dot(capsys, files):
     code, _, err = run(capsys, ["co", "--system", files["sys"],
                                 "--frame", files["frame"],

@@ -51,6 +51,10 @@ def test_unknown_state_rejected():
         Frame(["a"], [("a", "b")], {})
     with pytest.raises(UnknownState):
         Frame(["a"], [], {"p": ["zz"]})
+    # a KeyError whose first argument is the least unknown state
+    with pytest.raises(KeyError) as err:
+        Frame(["a"], [("a", "c"), ("b", "a"), ("a", "b")], {})
+    assert err.value.args[0] == "b" and str(err.value) == "edge a->b: unknown state 'b'"
     f = Frame(["a"], [], {})
     with pytest.raises(UnknownState):
         f.successors("nope")
@@ -130,7 +134,7 @@ def test_random_frame_is_rebuilt_from_its_position_draws():
                 edges = [(a, b) for a in states for b in states if rng.random() < prob]
                 labels = {p: [s for s in states if rng.random() < 0.5] for p in props}
                 assert frame == Frame(states, edges, labels)
-                cells, members = _random_draws(size, prob, len(props), seed)
+                cells, members = _random_draws(size, prob, len(props), Random(seed).random)
                 assert frame == Frame(states, [(states[k // size], states[k % size]) for k in cells],
                                       {p: [states[i] for i in ms] for p, ms in zip(props, members)})
 

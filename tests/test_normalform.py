@@ -6,6 +6,7 @@ import subprocess
 import sys
 import zlib
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -31,7 +32,7 @@ from nablamu import (
 from nablamu import normalform
 from nablamu.normalform import _oracle_batches
 
-from conftest import FORMULA_CORPUS, corpus_formulas, full_corpus, ref_oracle
+from conftest import FORMULA_CORPUS, _ref_oracle_frames, corpus_formulas, full_corpus, ref_oracle
 
 TESTS = Path(__file__).resolve().parent
 
@@ -323,29 +324,52 @@ def test_oracle_lanes_are_the_oracle_frames():
             continue
         props = tuple(sorted(normalform._prop_names(b for _, b in eqf.system.equations)))
         seed = zlib.crc32(format_system(eqf).encode())
+        reference = list(_ref_oracle_frames(eqf, 2, 40))
         exhaustive = list(enumerate_frames(2, props))
         labels, batches = _oracle_batches(eqf, 2, 40)
+        assert labels == [label for label, _ in reference]
         assert len(labels) == len(exhaustive) + 40
+        # the exhaustive labels are the kept ones, not formatted again
+        names = normalform._exhaustive_batches(2, props)[0]
+        assert all(a is b for a, b in zip(labels, names)) and len(names) == len(exhaustive)
         seen = []
         for batch, where in batches:
             for lane, k in enumerate(where):
-                label = labels[k]
+                label, fr = reference[k]
                 if label.startswith("E"):
-                    fr = exhaustive[k]
+                    assert fr == exhaustive[k]
                     assert label == f"E{len(fr.states)}#{k}"
                 else:
                     i = int(label[2:])
                     assert label == f"R#{k - len(exhaustive)}"
-                    fr = random_frame(1 + i % 8, edge_prob=probs[i % 4], props=props, seed=seed + i)
+                    if i < 8:  # the first draw of each size's generator
+                        assert fr == random_frame(1 + i, edge_prob=probs[i % 4], props=props,
+                                                  seed=seed + i)
                 assert _lane_frame(batch, lane) == fr, (name, label)
                 seen.append(k)
         assert sorted(seen) == list(range(len(labels)))
 
 
+def test_oracle_seeds_one_generator_per_size(monkeypatch):
+    seeded = []
+    seed = Random.seed
+
+    def counted(self, *args, **kwargs):
+        seeded.append(args)
+        return seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(Random, "seed", counted)
+    eqf = dict(full_corpus())["twovar_handoff"]
+    _, report = to_conjunctive(eqf, exhaustive_max=1, random_count=500)
+    assert sum(label.startswith("R#") for label, _, _ in report.closure_ordinals) == 500
+    assert 1 <= len(seeded) <= 8
+
+
 def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():
     frames = list(enumerate_frames(3, ("p",)))
     lanes = [_lane_frame(batch, lane)
-             for batch in normalform._exhaustive_batches(3, ("p",)) for lane in range(batch.lanes)]
+             for batch, _ in normalform._exhaustive_batches(3, ("p",))[1]
+             for lane in range(batch.lanes)]
     assert lanes == frames
 
 
@@ -354,9 +378,10 @@ def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
     for k in range(1, 21):
         eqf = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{p, " + "dia " * k + "y}}\n")
         to_conjunctive(eqf, exhaustive_max=2, random_count=10)
-        batches = normalform._exhaustive_batches(2, ("p",))
+        entry = normalform._exhaustive_batches(2, ("p",))
+        batches = [b for b, _ in entry[1]]
         assert batches and not any(b._closed for b in batches), k
-    assert normalform._exhaustive_batches(2, ("p",)) is batches
+    assert normalform._exhaustive_batches(2, ("p",)) is entry
     info = normalform._exhaustive_batches.cache_info()
     assert 4 <= info.maxsize and info.currsize <= info.maxsize
     # a failing translation leaves no closed leaves behind either

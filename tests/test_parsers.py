@@ -172,8 +172,8 @@ def test_errors_survive_pickling(exc):
 # one message each must give: the first kind in a fixed precedence, and
 # the least offender of that kind.
 OFFENDERS = {
-    "states: s0 s1\nedges: s0->a s0->b s1->c s1->d\n": "'a'",
-    "states: s0\nlabels: p: w u v\n": "'u'",
+    "states: s0 s1\nedges: s0->a s0->b s1->c s1->d\n": "edge s0->a: unknown state 'a'",
+    "states: s0\nlabels: p: w u v\n": "label p: unknown state 'u'",
     "states: r a b\nedges: r->b a->b a->r\nroot: r\n": "edge into the root 'r'",
     "states: r a b c d\nedges: r->a r->b a->d b->d a->c b->c\nroot: r\n": "state 'c' has two parents",
     "system\ninit: x\nx = or{x, y, z, w}\ny = nab{y}\nz = nab{z}\nw = nab{w}\n":

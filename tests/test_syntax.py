@@ -1,6 +1,7 @@
 """Formula AST, parser/printer, closure, and shape predicates."""
 
 import pickle
+import time
 from random import Random
 
 import pytest
@@ -445,6 +446,28 @@ def test_guarded_variants_accepted():
 def test_open_quantifier_rejected_inside_bodies():
     with pytest.raises(OpenQuantifier):
         parse_system("system\ninit: x\nx = nab{nu y. or{x, box y}}\n")
+
+
+def _shared_tower(base, levels):
+    # or{and{f, p}, and{f, q}} around f, levels times: 2^levels paths
+    f = base
+    for _ in range(levels):
+        f = BigOr({BigAnd({f, Prop("p")}), BigAnd({f, Prop("q")})})
+    return f
+
+
+def test_shared_subformulas_are_validated_once():
+    start = time.perf_counter()
+    system = EquationSystem([("x", _shared_tower(Nabla({Var("x")}), 20))])
+    assert time.perf_counter() - start < 1.0
+    assert len(closure(system)) == 64
+    # a fault at the bottom of the tower is still found, and the least
+    # offender still wins
+    start = time.perf_counter()
+    with pytest.raises(UnguardedVariable, match="variable 'y' unguarded"):
+        EquationSystem([("x", _shared_tower(BigOr({Var("z"), Var("y"), Nabla({Var("x")})}), 20)),
+                        ("y", Nabla({Var("y")})), ("z", Nabla({Var("z")}))])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closed_quantifiers_allowed_as_leaves():

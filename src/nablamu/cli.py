@@ -31,6 +31,7 @@ from .frame import (
     Frame,
     FrameParseError,
     TreeFrame,
+    UnknownState,
     chain,
     czarnecki,
     format_frame,
@@ -466,7 +467,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+        message = exc.args[0] if exc.args and not isinstance(exc, UnknownState) else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
     _emit(text, args)

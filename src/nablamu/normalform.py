@@ -11,6 +11,13 @@ aborts the translation rather than shipping a wrong normal form.  Both
 rewrites walk set members in ``sort_key`` order, so the fresh names
 depend on the input alone.
 
+The conjunctive rewrite makes two passes over one variable list that
+grows as names are minted: the first hoists every body's non-variable
+cover arguments into variables and then resolves unguarded occurrences
+once, the second splits each resolved body into clauses and fixes each
+to one cover modality.  A clause is fixed once per rewrite; a repeated
+one reuses the first result and its merge variables.
+
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
 per state count, drawn straight into lanes with the draws of
 ``enumerate_frames`` and ``random_frame``: the exhaustive ones packed
@@ -24,10 +31,9 @@ masks are equal, and only the differing lanes are unpacked for the report.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from functools import lru_cache
 from random import Random
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .syntax import (
     BigAnd,
@@ -262,50 +268,41 @@ class _Conjunctivizer:
         self.raw: Dict[str, Formula] = {
             v: desugar(eqf.system.eq(v)) for v in eqf.system.vars
         }
-        self.pending: deque = deque(self.order)
-        self.hoisted: Dict[str, Formula] = {}
         self.resolved: Dict[str, Formula] = {}
         self.hoistmap: Dict[Formula, str] = {}
-        self.closedmap: Dict[Formula, str] = {}
         self.merged: Dict[FrozenSet[str], str] = {}
         self.base_of: Dict[str, FrozenSet[str]] = {}
+        self.fixed: Dict[FrozenSet[Formula], Set[FrozenSet[Formula]]] = {}
         self.zbot: Optional[str] = None
 
     # -- fresh equations ----------------------------------------------------
 
-    def _new_var(self, name: str, body: Formula, role: str) -> str:
-        self.raw[name] = body
+    def _new_var(self, body: Callable[[str], Formula], role: str) -> str:
+        """Mint the next fresh name, with raw body ``body(name)``."""
+        name = next(self.names)
+        self.raw[name] = body(name)
         self.roles[name] = role
         self.order.append(name)
-        self.pending.append(name)
         return name
 
     def need_zbot(self) -> str:
         if self.zbot is None:
-            name = next(self.names)
-            self.zbot = name
-            self._new_var(name, _bottom_body(name),
-                          "bottom variable (deadlock anchor)")
+            self.zbot = self._new_var(_bottom_body, "bottom variable (deadlock anchor)")
+            self.resolved[self.zbot] = self.raw[self.zbot]
         return self.zbot
 
-    def closed_var(self, psi: Formula) -> str:
-        if psi in self.closedmap:
-            return self.closedmap[psi]
-        zbot = self.need_zbot()
-        name = next(self.names)
-        self.closedmap[psi] = name
-        self._new_var(name, _payload_gadget(psi, zbot),
-                      f"closed payload {format_formula(psi)}")
-        return name
-
-    def open_var(self, arg: Formula) -> str:
-        if arg in self.hoistmap:
-            return self.hoistmap[arg]
-        name = next(self.names)
-        self.hoistmap[arg] = name
-        self._new_var(name, arg,
-                      f"hoisted cover argument {format_formula(arg)}")
-        return name
+    def arg_var(self, arg: Formula) -> str:
+        """The variable hoisting a non-variable cover argument: a closed
+        one is the payload gadget over the deadlock anchor, minted first."""
+        if arg not in self.hoistmap:
+            if is_closed(arg):
+                zbot = self.need_zbot()
+                self.hoistmap[arg] = self._new_var(
+                    lambda _: _payload_gadget(arg, zbot), f"closed payload {format_formula(arg)}")
+            else:
+                self.hoistmap[arg] = self._new_var(
+                    lambda _: arg, f"hoisted cover argument {format_formula(arg)}")
+        return self.hoistmap[arg]
 
     def base(self, name: str) -> FrozenSet[str]:
         return self.base_of.get(name, frozenset({name}))
@@ -313,18 +310,13 @@ class _Conjunctivizer:
     def merge_var(self, bases: FrozenSet[str]) -> str:
         if len(bases) == 1:
             return next(iter(bases))
-        if bases in self.merged:
-            return self.merged[bases]
-        name = next(self.names)
-        self.merged[bases] = name
-        self.base_of[name] = bases
-        body = BigOr(frozenset(self.resolved[m] for m in bases))
-        self.raw[name] = body
-        self.resolved[name] = body
-        self.roles[name] = "disjunction of " + ", ".join(sorted(bases))
-        self.order.append(name)
-        self.queue.append(name)
-        return name
+        if bases not in self.merged:
+            body = BigOr(frozenset(self.resolved[m] for m in bases))
+            name = self._new_var(lambda _: body, "disjunction of " + ", ".join(sorted(bases)))
+            self.merged[bases] = name
+            self.base_of[name] = bases
+            self.resolved[name] = body
+        return self.merged[bases]
 
     # -- phase i: hoist non-variable cover arguments ------------------------
 
@@ -336,8 +328,7 @@ class _Conjunctivizer:
             elif isinstance(g, (BigAnd, BigOr)):
                 new[g] = _rebuild(g, new)
             elif isinstance(g, Nabla):
-                new[g] = Nabla([a if isinstance(a, Var) else
-                                Var(self.closed_var(a) if is_closed(a) else self.open_var(a))
+                new[g] = Nabla([a if isinstance(a, Var) else Var(self.arg_var(a))
                                 for a in sorted(g.args, key=sort_key)])
             else:
                 raise TranslationFailure(
@@ -365,12 +356,20 @@ class _Conjunctivizer:
     # -- phase iii: one cover modality per clause ----------------------------
 
     def fix_clause(self, clause: FrozenSet[Formula]) -> Set[FrozenSet[Formula]]:
-        live = set(self.raw)
+        """The clauses with one cover modality each whose conjunction is
+        ``clause``, computed once per run: a clause's variables stay
+        defined, a failure ends the run, and a repeated clause finds its
+        merge variables (and the deadlock anchor) already minted."""
+        if clause not in self.fixed:
+            self.fixed[clause] = self._fix_clause(clause)
+        return self.fixed[clause]
+
+    def _fix_clause(self, clause: FrozenSet[Formula]) -> Set[FrozenSet[Formula]]:
         covers: List[Nabla] = []
         rest: Set[Formula] = set()
         for atom in sorted(clause, key=sort_key):
             if isinstance(atom, Nabla) and all(
-                    isinstance(a, Var) and a.name in live for a in atom.args):
+                    isinstance(a, Var) and a.name in self.raw for a in atom.args):
                 covers.append(atom)
             elif is_closed(atom):
                 rest.add(atom)
@@ -418,37 +417,19 @@ class _Conjunctivizer:
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> EquationalFormula:
-        while self.pending:
-            v = self.pending.popleft()
-            if v in self.hoisted:
-                continue
-            self.hoisted[v] = self.hoist(self.raw[v])
-        for name, body in _resolve_unguarded(self.hoisted).items():
-            self.resolved.setdefault(name, body)
-        final: Dict[str, Formula] = {}
-        self.queue: deque = deque(self.order)
-        while self.queue or self.pending:
-            # clause fixing can mint new variables (the deadlock anchor,
-            # for one); they land on the hoisting queue and still need a
-            # slot in the finalisation queue
-            while self.pending:
-                w = self.pending.popleft()
-                if w in self.hoisted:
-                    continue
-                self.hoisted[w] = self.hoist(self.raw[w])
-                self.resolved.setdefault(w, self.hoisted[w])
-                self.queue.append(w)
-            if not self.queue:
-                break
-            v = self.queue.popleft()
-            if v in final:
-                continue
+        # Both loops run over ``order`` as it grows.  Hoisting mints the
+        # variables of cover arguments, hoisted in turn; fixing clauses
+        # mints only merge variables and the deadlock anchor, which get
+        # their resolved bodies when they are minted.
+        hoisted = {v: self.hoist(self.raw[v]) for v in self.order}
+        self.resolved = _resolve_unguarded(hoisted)
+        final: List[Tuple[str, Formula]] = []
+        for v in self.order:
             clauses: Set[FrozenSet[Formula]] = set()
             for c in self.cnf(self.resolved[v]):
                 clauses |= self.fix_clause(c)
-            final[v] = _assemble(clauses)
-        system = EquationSystem([(v, final[v]) for v in self.order])
-        return EquationalFormula(system, self.eqf.init)
+            final.append((v, _assemble(clauses)))
+        return EquationalFormula(EquationSystem(final), self.eqf.init)
 
 
 def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
@@ -491,14 +472,10 @@ def _oracle_batches(
 ) -> Tuple[List[str], List[Tuple[FrameBatch, range]]]:
     """The oracle frames' labels in report order, and their lane batches
     with the report position of each lane: the exhaustive frames, then
-    ``random_count`` seeded random frames of 1-8 states, drawn straight
-    into one batch per size.
-
-    With ``seed`` the CRC of the system's text, lane ``R#i`` has
-    n = 1 + i % 8 states and is draw number i // 8 from
-    ``Random(seed + n - 1)``, with edge probability
-    ``(0.15, 0.3, 0.5, 0.7)[i % 4]``: one generator per size, so
-    ``R#0``-``R#7`` are ``random_frame(1 + i, probs[i % 4], props, seed + i)``."""
+    ``random_count`` random frames of 1-8 states under the seeding rule
+    of ``to_conjunctive``, drawn straight into one batch per size.  One
+    generator per size makes ``R#0``-``R#7`` equal to
+    ``random_frame(1 + i, probs[i % 4], props, seed + i)``."""
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     names, exhaustive = _exhaustive_batches(exhaustive_max, props)
     first = len(names)

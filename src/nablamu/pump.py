@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from .ordinal import Ordinal, OMEGA, ZERO
 from .syntax import EquationSystem, Formula, Nabla, Var, _Value, format_formula, size, sort_key
-from .frame import TreeFrame
+from .frame import TreeFrame, UnknownState
 from .annotation import AnnEntry, Annotation, _entry_key
 
 __all__ = [
@@ -47,7 +47,7 @@ class RootSetMismatch(ValueError):
     """Donor root profile differs from the replaced state's profile."""
 
 
-class NotATreeState(KeyError):
+class NotATreeState(UnknownState):
     """The named state does not belong to the annotated tree."""
 
 

@@ -385,6 +385,18 @@ def test_pump_rejects_profile_mismatch(capsys, files):
     assert "donor root profile differs from the profile at t1" in err
 
 
+def test_pump_names_an_unknown_state(capsys, files):
+    code, out, err = run(capsys, ["pump", "--system", files["spine"],
+                                  "--frame", files["tree"],
+                                  "--theta", files["ann"],
+                                  "--phi", files["ann"],
+                                  "--state", "zz",
+                                  "--donor-frame", files["donor_frame"],
+                                  "--donor-theta", files["donor_ann"],
+                                  "--donor-phi", files["donor_ann"]])
+    assert (code, out, err) == (1, "", "error: unknown state 'zz'\n")
+
+
 # ------------------------------------------------------------ conjunctive
 
 def test_conjunctive_verb(capsys, files):

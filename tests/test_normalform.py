@@ -1,10 +1,12 @@
 """Compilation of least-fixpoint formulas to equation systems and the
 conjunctive-shape rewriting with its semantic oracle."""
 
+import hashlib
 import os
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -32,7 +34,8 @@ from nablamu import (
 from nablamu import normalform
 from nablamu.normalform import _oracle_batches
 
-from conftest import FORMULA_CORPUS, _ref_oracle_frames, corpus_formulas, full_corpus, ref_oracle
+from conftest import (FORMULA_CORPUS, _ref_oracle_frames, corpus_formulas, full_corpus,
+                      random_system, ref_oracle)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -222,6 +225,37 @@ def test_oversized_cover_distribution_is_refused():
     with pytest.raises(TranslationFailure) as err:
         to_conjunctive(eqf, exhaustive_max=1, random_count=1)
     assert "cover distribution too large" in str(err.value)
+
+
+def test_each_clause_is_fixed_once_per_rewrite(monkeypatch):
+    calls = Counter()
+    fix = normalform._Conjunctivizer._fix_clause
+
+    def counted(self, clause):
+        calls[clause] += 1
+        return fix(self, clause)
+
+    monkeypatch.setattr(normalform._Conjunctivizer, "_fix_clause", counted)
+    for seed in (12, 38):
+        calls.clear()
+        normalform._Conjunctivizer(random_system(seed)).run()
+        assert calls and max(calls.values()) == 1, seed
+
+
+# SHA-256 of the rewrite's text and fresh-name roles on random_system
+# seeds 0-119 without 95 (refused) and 106 (minutes to rewrite), as the
+# rewrite gave them before it fixed each clause once.
+REWRITE_PIN = "88a1357c442d7364593f270f17d16d6a5d5419837271ccdb35f947c4aa954d9e"
+
+
+def test_rewrite_of_random_systems_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(120):
+        if seed in (95, 106):
+            continue
+        out, report = to_conjunctive(random_system(seed), exhaustive_max=1, random_count=0)
+        digest.update(f"{format_system(out)}{report.fresh!r}\n".encode())
+    assert digest.hexdigest() == REWRITE_PIN
 
 
 def test_report_payload():

@@ -19,11 +19,12 @@ to one cover modality.  A clause is fixed once per rewrite; a repeated
 one reuses the first result and its merge variables.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
-per state count, drawn straight into lanes with the draws of
-``enumerate_frames`` and ``random_frame``: the exhaustive ones packed
-and labelled once per (max states, propositions), keeping the last few
-packings without the closed leaves of any call, the random ones on every
-call from one seeded generator per state count.  Each batch is
+per state count, built from lane words with no ``Frame``: the
+exhaustive ones from the draws of ``enumerate_frames``, turned into
+words and labelled once per (max states, propositions), keeping the
+last few batches without the closed leaves of any call; the random ones
+on every call, drawn word by word from one seeded generator per state
+count under the rule stated in ``to_conjunctive``.  Each batch is
 one stage run per system; input and output agree when the two stable
 masks are equal, and only the differing lanes are unpacked for the report.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from operator import and_, or_
 from random import Random
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -61,7 +63,7 @@ from .syntax import (
     sort_key,
     substitute,
 )
-from .frame import _exhaustive_draws, _random_draws
+from .frame import _exhaustive_draws
 from .semantics import FrameBatch, lane_closure_ordinals
 
 __all__ = [
@@ -451,8 +453,9 @@ def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
                         ) -> Tuple[Tuple[str, ...], Tuple[Tuple[FrameBatch, range], ...]]:
     """The exhaustive frames up to ``max_states`` states: their labels
     ``E<n>#<k>`` in report order, and one lane batch per state count n
-    with the report position k of each lane.  Packed and labelled once
-    per (max states, propositions) and kept for the last few such pairs."""
+    with the report position k of each lane.  Turned into lane words and
+    labelled once per (max states, propositions) and kept for the last
+    few such pairs."""
     groups: Dict[int, list] = {}
     for n, edges, labels in _exhaustive_draws(max_states, len(props)):
         groups.setdefault(n, []).append((edges, labels))
@@ -461,7 +464,11 @@ def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
     for n, frames in groups.items():
         where = range(len(names), len(names) + len(frames))
         names += [f"E{n}#{k}" for k in where]
-        batches.append((FrameBatch(n, frames, props), where))
+        words = [0] * (n * n + n * len(props))  # the edge words, then the label words
+        for f, (edges, labels) in enumerate(frames):
+            for k in [*edges, *(n * n + p * n + i for p, members in enumerate(labels) for i in members)]:
+                words[k] |= 1 << f
+        batches.append((FrameBatch(n, len(frames), words[:n * n], words[n * n:], props), where))
     return tuple(names), tuple(batches)
 
 
@@ -472,23 +479,25 @@ def _oracle_batches(
 ) -> Tuple[List[str], List[Tuple[FrameBatch, range]]]:
     """The oracle frames' labels in report order, and their lane batches
     with the report position of each lane: the exhaustive frames, then
-    ``random_count`` random frames of 1-8 states under the seeding rule
-    of ``to_conjunctive``, drawn straight into one batch per size.  One
-    generator per size makes ``R#0``-``R#7`` equal to
-    ``random_frame(1 + i, probs[i % 4], props, seed + i)``."""
+    ``random_count`` random frames of 1-8 states drawn as lane words, one
+    batch per size, under the rule of ``to_conjunctive``."""
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     names, exhaustive = _exhaustive_batches(exhaustive_max, props)
     first = len(names)
     labels = [*names, *(f"R#{i}" for i in range(random_count))]
     batches = list(exhaustive)
     seed = zlib.crc32(format_system(eqf).encode())
-    probs = (0.15, 0.3, 0.5, 0.7)
-    for size in range(1, 9):
-        where = range(first + size - 1, len(labels), 8)
+    for n in range(1, 9):
+        where = range(first + n - 1, len(labels), 8)
         if where:
-            rand = Random(seed + size - 1).random
-            frames = [_random_draws(size, probs[(size - 1) % 4], len(props), rand) for _ in where]
-            batches.append((FrameBatch(size, frames, props), where))
+            draw, lanes = Random(seed + n - 1).getrandbits, len(where)
+            k, b = ((5, 5), (5, 4), (1, 1), (11, 4))[(n - 1) % 4]  # edge probability k / 2 ** b
+            draws = [draw(lanes) for _ in range(b * n * n)]  # b in a row per edge position
+            edge_words = [0] * (n * n)
+            for t in range(b):  # bit t of k: or on a 1, and on a 0
+                edge_words = list(map(or_ if k >> t & 1 else and_, edge_words, draws[t::b]))
+            label_words = [draw(lanes) for _ in range(len(props) * n)]
+            batches.append((FrameBatch(n, lanes, edge_words, label_words, props), where))
     return labels, batches
 
 
@@ -503,10 +512,18 @@ def to_conjunctive(
 
     The oracle frames are the frames of up to ``exhaustive_max`` states
     over the system's propositions, one per renaming orbit (``E<n>#<k>``),
-    then ``random_count`` random frames.  With ``seed`` the CRC-32 of the
-    system's text, ``R#i`` has n = 1 + i % 8 states and is draw number
-    i // 8 from ``Random(seed + n - 1)``, with edge probability
-    ``(0.15, 0.3, 0.5, 0.7)[i % 4]``."""
+    then ``random_count`` random frames ``R#<i>``.  The random frames of
+    n states are the lanes of one batch, whose words (bit f of a word is
+    that bit of lane f) one ``Random(seed + n - 1)`` gives, with ``seed``
+    the CRC-32 of the system's text and ``lanes`` the number of such
+    frames; lane f is ``R#(8f + n - 1)``.  Its edges have probability
+    k / 2^b = ``(5/32, 5/16, 1/2, 11/16)[(n - 1) % 4]`` (dyadic stand-ins
+    for 0.15, 0.3, 0.5 and 0.7): for each edge position i * n + j in
+    increasing order, its word is drawn by b ``getrandbits(lanes)``
+    calls, from w = 0 over the bits of k from the least significant up,
+    a 1 bit doing ``w |= r`` and a 0 bit ``w &= r``.  Then for each
+    proposition in sorted order and each state i, one
+    ``getrandbits(lanes)`` word gives its labels, at probability 1/2."""
     worker = _Conjunctivizer(eqf)
     out = worker.run()
     if not is_conjunctive(out.system):

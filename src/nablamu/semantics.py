@@ -217,30 +217,22 @@ class FrameBatch:
 
     __slots__ = ("n", "lanes", "full", "prop_mask", "_rows", "_closed")
 
-    def __init__(self, n: int, frames: Sequence[Tuple[Iterable[int], Sequence[Iterable[int]]]],
+    def __init__(self, n: int, lanes: int, edge_words: Sequence[int], label_words: Sequence[int],
                  props: Sequence[str]) -> None:
-        """``frames`` gives per frame its edges i -> j as row-major
-        positions i * n + j and, aligned with ``props``, the positions of
-        each proposition's states."""
-        lanes = len(frames)
-        edge = [0] * (n * n)
-        props_at = [0] * len(props)
-        for f, (edges, labels) in enumerate(frames):
-            bit = 1 << f
-            for k in edges:
-                edge[k] |= bit
-            for k, members in enumerate(labels):
-                for i in members:
-                    props_at[k] |= bit << i * lanes
+        """The batch of ``lanes`` frames given by lane words, whose bit f
+        is that bit of frame f: ``edge_words[i * n + j]`` for the edge
+        i -> j, and ``label_words[k * n + i]`` for state i in ``props[k]``
+        (the word order of ``normalform.to_conjunctive``'s random frames)."""
         self.n = n
         self.lanes = lanes
         self.full = (1 << n * lanes) - 1
-        self.prop_mask = {p: m for p, m in zip(props, props_at) if m}
+        self.prop_mask = {p: m for k, p in enumerate(props) if (m := sum(
+            w << i * lanes for i, w in enumerate(label_words[k * n:k * n + n])))}
         # per position i with an edge out: its shift and, per position j
         # with an edge (i, j) in some lane, j's shift and those lanes
         self._rows = tuple(
             (i * lanes, row) for i in range(n)
-            if (row := tuple((j * lanes, edge[i * n + j]) for j in range(n) if edge[i * n + j])))
+            if (row := tuple((j * lanes, w) for j, w in enumerate(edge_words[i * n:i * n + n]) if w)))
         self._closed: Dict[Formula, int] = {}
 
     eval = FrameIndex.eval

@@ -176,18 +176,33 @@ def _ref_oracle_frames(eqf: EquationalFormula, exhaustive_max: int, random_count
     prop_tuple = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     for i, fr in enumerate(enumerate_frames(exhaustive_max, prop_tuple)):
         yield f"E{len(fr.states)}#{i}", fr
-    # R#i has n = 1 + i % 8 states and is the (i // 8)-th frame drawn
-    # from Random(seed + n - 1): per frame, by state name, one edge pair
-    # after the other, then one label draw per proposition and state
+    # the random frames of n states are the lanes of one batch of words,
+    # all drawn from Random(seed + n - 1): per edge position i * n + j,
+    # b words folded over the bits of k (edge probability k / 2 ** b),
+    # then one word per proposition and state; lane f is R#(8f + n - 1)
     seed = zlib.crc32(format_system(eqf).encode())
-    probs = (0.15, 0.3, 0.5, 0.7)
-    rngs = [Random(seed + k) for k in range(8)]
-    for i in range(random_count):
-        n, rng = 1 + i % 8, rngs[i % 8]
+    odds = ((5, 5), (5, 4), (1, 1), (11, 4))
+    frames = {}
+    for n in range(1, 9):
+        lanes = len(range(n - 1, random_count, 8))
+        rng = Random(seed + n - 1)
+        k, b = odds[(n - 1) % 4]
+        edge_words = [[rng.getrandbits(lanes) for _ in range(b)] for _ in range(n * n)]
+        label_words = [rng.getrandbits(lanes) for _ in range(len(prop_tuple) * n)]
         states = [f"s{j}" for j in range(n)]
-        edges = [(a, b) for a in states for b in states if rng.random() < probs[i % 4]]
-        labels = {p: [s for s in states if rng.random() < 0.5] for p in prop_tuple}
-        yield f"R#{i}", Frame(states, edges, labels)
+        for f in range(lanes):
+            edges = []
+            for pos, draws in enumerate(edge_words):
+                bit = 0
+                for t, r in enumerate(draws):  # bit t of k: or with r on 1, and on 0
+                    bit = bit | r >> f & 1 if k >> t & 1 else bit & r >> f & 1
+                if bit:
+                    edges.append((states[pos // n], states[pos % n]))
+            labels = {p: [s for i, s in enumerate(states) if label_words[q * n + i] >> f & 1]
+                      for q, p in enumerate(prop_tuple)}
+            frames[8 * f + n - 1] = Frame(states, edges, labels)
+    for i in range(random_count):
+        yield f"R#{i}", frames[i]
 
 
 def ref_enumerate_frames(

@@ -5,7 +5,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import zlib
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -27,12 +26,12 @@ from nablamu import (
     is_conjunctive,
     parse_formula,
     parse_system,
-    random_frame,
     to_conjunctive,
     to_equational,
 )
 from nablamu import normalform
 from nablamu.normalform import _oracle_batches
+from nablamu.semantics import FrameBatch
 
 from conftest import (FORMULA_CORPUS, _ref_oracle_frames, corpus_formulas, full_corpus,
                       random_system, ref_oracle)
@@ -352,12 +351,10 @@ def _lane_frame(batch, lane):
 
 
 def test_oracle_lanes_are_the_oracle_frames():
-    probs = (0.15, 0.3, 0.5, 0.7)
     for name, eqf in full_corpus():
         if name not in ("nab_self", "or_p_nab", "twovar_handoff"):  # 0, 1 and 2 propositions
             continue
         props = tuple(sorted(normalform._prop_names(b for _, b in eqf.system.equations)))
-        seed = zlib.crc32(format_system(eqf).encode())
         reference = list(_ref_oracle_frames(eqf, 2, 40))
         exhaustive = list(enumerate_frames(2, props))
         labels, batches = _oracle_batches(eqf, 2, 40)
@@ -374,11 +371,7 @@ def test_oracle_lanes_are_the_oracle_frames():
                     assert fr == exhaustive[k]
                     assert label == f"E{len(fr.states)}#{k}"
                 else:
-                    i = int(label[2:])
                     assert label == f"R#{k - len(exhaustive)}"
-                    if i < 8:  # the first draw of each size's generator
-                        assert fr == random_frame(1 + i, edge_prob=probs[i % 4], props=props,
-                                                  seed=seed + i)
                 assert _lane_frame(batch, lane) == fr, (name, label)
                 seen.append(k)
         assert sorted(seen) == list(range(len(labels)))
@@ -397,6 +390,52 @@ def test_oracle_seeds_one_generator_per_size(monkeypatch):
     _, report = to_conjunctive(eqf, exhaustive_max=1, random_count=500)
     assert sum(label.startswith("R#") for label, _, _ in report.closure_ordinals) == 500
     assert 1 <= len(seeded) <= 8
+
+
+def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
+    # edge probability k / 2 ** b by (n - 1) % 4, labels at 1 / 2
+    odds = ((5, 5), (5, 4), (1, 1), (11, 4))
+    calls = []
+    getrandbits = Random.getrandbits
+
+    def counted(self, k):
+        calls.append(k)
+        return getrandbits(self, k)
+
+    built = []
+
+    def recorded(n, lanes, edge_words, label_words, props):
+        built.append((n, lanes, edge_words, label_words, props))
+        return FrameBatch(n, lanes, edge_words, label_words, props)
+
+    monkeypatch.setattr(Random, "getrandbits", counted)
+    monkeypatch.setattr(normalform, "FrameBatch", recorded)
+    ones = Counter()
+    drawn = Counter()
+    for name, eqf in full_corpus():
+        props = tuple(sorted(normalform._prop_names(b for _, b in eqf.system.equations)))
+        nprops = len(props)
+        normalform._exhaustive_batches(1, props)  # kept, so the call below builds none
+        calls.clear()
+        built.clear()
+        _oracle_batches(eqf, 1, 500)
+        # one call per word and bit of k for each edge, one per label
+        assert len(calls) == sum(odds[(n - 1) % 4][1] * n * n + nprops * n for n in range(1, 9)), name
+        lanes = {n: len(range(n - 1, 500, 8)) for n in range(1, 9)}
+        assert set(calls) == set(lanes.values()), name
+        assert [(n, k) for n, k, *_ in built] == list(lanes.items()), name
+        for n, k, edge_words, label_words, _ in built:
+            assert (len(edge_words), len(label_words)) == (n * n, nprops * n), name
+            # no lane spills into the next state's slot
+            assert all(0 <= w < 1 << k for w in [*edge_words, *label_words]), name
+            for kind, words in ((n, edge_words), ("label", label_words)):
+                ones[kind] += sum(bin(w).count("1") for w in words)
+                drawn[kind] += k * len(words)
+    # every density within four standard deviations of its probability
+    for kind in [*range(1, 9), "label"]:
+        p = 0.5 if kind == "label" else odds[(kind - 1) % 4][0] / 2 ** odds[(kind - 1) % 4][1]
+        sigma = (p * (1 - p) / drawn[kind]) ** 0.5
+        assert abs(ones[kind] / drawn[kind] - p) <= 4 * sigma, (kind, ones[kind], drawn[kind])
 
 
 def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():

@@ -453,6 +453,13 @@ def _lane(m, n, lanes, f):
     return sum(1 << i for i in range(n) if m >> i * lanes + f & 1)
 
 
+def _edge_batch(n, draws):
+    """The unlabelled batch whose lane f has the edges at the row-major
+    positions draws[f]."""
+    words = [sum(1 << f for f, edges in enumerate(draws) if k in edges) for k in range(n * n)]
+    return FrameBatch(n, len(draws), words, [], ())
+
+
 def test_batch_modal_steps_match_the_frame_index_per_lane():
     rng = Random(12)
     for n in range(1, 9):
@@ -461,7 +468,7 @@ def test_batch_modal_steps_match_the_frame_index_per_lane():
         # then random frames with both
         draws = [list(cells), [], [i * n + i for i in cells[:n]]]
         draws += [[k for k in cells if rng.random() < p] for p in (0.15, 0.3, 0.5, 0.7) for _ in range(3)]
-        batch = FrameBatch(n, [(edges, ()) for edges in draws], ())
+        batch = _edge_batch(n, draws)
         states = [f"s{i}" for i in range(n)]
         indexes = [FrameIndex(Frame(states, [(states[k // n], states[k % n]) for k in edges]))
                    for edges in draws]

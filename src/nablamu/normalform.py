@@ -472,6 +472,12 @@ def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
     return tuple(names), tuple(batches)
 
 
+@lru_cache(maxsize=4)
+def _random_labels(count: int) -> Tuple[str, ...]:
+    """The labels ``R#<i>`` of ``count`` random frames."""
+    return tuple(f"R#{i}" for i in range(count))
+
+
 def _oracle_batches(
     eqf: EquationalFormula,
     exhaustive_max: int,
@@ -484,7 +490,7 @@ def _oracle_batches(
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     names, exhaustive = _exhaustive_batches(exhaustive_max, props)
     first = len(names)
-    labels = [*names, *(f"R#{i}" for i in range(random_count))]
+    labels = [*names, *_random_labels(random_count)]
     batches = list(exhaustive)
     seed = zlib.crc32(format_system(eqf).encode())
     for n in range(1, 9):
@@ -539,8 +545,8 @@ def to_conjunctive(
             got, co_out = lane_closure_ordinals(out, batch)
         finally:  # a kept batch must not keep this call's closed leaves
             batch._closed.clear()
-        for k, a, b in zip(where, co_in, co_out):
-            ordinals[k] = (labels[k], a, b)
+        s = slice(where.start, where.stop, where.step)
+        ordinals[s] = zip(labels[s], co_in, co_out)
         if want != got:
             for lane in batch.lanes_of(want ^ got):
                 k = where[lane]

@@ -26,13 +26,15 @@ mu/nu binder's body until it is stable.
 
 A ``FrameBatch`` is a second frame domain for the same stage loop: many
 frames of one state count packed position-major into the lanes of one
-mask, with the modal steps done lane by lane.  One run gives every
-frame's stages, and ``lane_closure_ordinals`` reads each lane's closure
-ordinal off them.
+mask, with the modal steps done lane by lane; its one graph step,
+``dia``, works by target column.  One run gives every frame's stages,
+and ``lane_closure_ordinals`` reads every lane's closure ordinal off them
+in one bulk decode.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import compress, product
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 OrdinalLike = Union[int, Ordinal]
+
+# a native format code of each item width in bytes, for memoryview.cast
+_ITEM_CODE = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
 
 
 class FrameIndex:
@@ -210,12 +215,17 @@ class FrameBatch:
     every operation acts on each lane as on its frame alone, so one stage
     run gives every frame's stages.  ``dia`` is the only graph step; by
     the cover law ``box m = not dia(not m)`` and
-    ``nab G = dia(and G) or (or of box g for g in G)``.  As on an index,
-    ``_closed`` keeps the masks of closed formulas, which are the same
-    whichever system reads them; no stage run is kept.
+    ``nab G = dia(and G) or (or of box g for g in G)``.  ``dia`` works by
+    target column: per position j with an edge into it in some lane, the
+    batch keeps j's shift and the mask of j's predecessors, lane by lane
+    in place; j's slice of the argument is copied to every position by
+    ceil(log2 n) doubling shifts and anded with that mask, so a step
+    costs n * ceil(log2 n) word operations, and one per empty slice.  As
+    on an index, ``_closed`` keeps the masks of closed formulas, which
+    are the same whichever system reads them; no stage run is kept.
     """
 
-    __slots__ = ("n", "lanes", "full", "prop_mask", "_rows", "_closed")
+    __slots__ = ("n", "lanes", "full", "_low", "prop_mask", "_cols", "_steps", "_closed")
 
     def __init__(self, n: int, lanes: int, edge_words: Sequence[int], label_words: Sequence[int],
                  props: Sequence[str]) -> None:
@@ -226,13 +236,12 @@ class FrameBatch:
         self.n = n
         self.lanes = lanes
         self.full = (1 << n * lanes) - 1
+        self._low = (1 << lanes) - 1  # every lane of position 0
         self.prop_mask = {p: m for k, p in enumerate(props) if (m := sum(
             w << i * lanes for i, w in enumerate(label_words[k * n:k * n + n])))}
-        # per position i with an edge out: its shift and, per position j
-        # with an edge (i, j) in some lane, j's shift and those lanes
-        self._rows = tuple(
-            (i * lanes, row) for i in range(n)
-            if (row := tuple((j * lanes, w) for j, w in enumerate(edge_words[i * n:i * n + n]) if w)))
+        self._cols = tuple((j * lanes, col) for j in range(n) if (col := sum(
+            edge_words[i * n + j] << i * lanes for i in range(n))))
+        self._steps = tuple(lanes << t for t in range((n - 1).bit_length()))
         self._closed: Dict[Formula, int] = {}
 
     eval = FrameIndex.eval
@@ -241,11 +250,13 @@ class FrameBatch:
         """States with a successor in m, lane by lane."""
         out = 0
         if m:
-            for shift, row in self._rows:
-                acc = 0
-                for at, lanes in row:
-                    acc |= m >> at & lanes
-                out |= acc << shift
+            low, steps = self._low, self._steps
+            for at, col in self._cols:
+                w = m >> at & low
+                if w:
+                    for step in steps:
+                        w |= w << step
+                    out |= w & col
         return out
 
     def box(self, m: int, at: Optional[int] = None) -> int:
@@ -265,12 +276,16 @@ class FrameBatch:
             out |= self.box(m)
         return out if at is None else out & at
 
-    def lanes_of(self, m: int) -> List[int]:
-        """The lanes in which m has a state."""
+    def lane_word(self, m: int) -> int:
+        """The lanes in which m has a state, as one word: bit f is lane f."""
         acc, lanes = 0, self.lanes
         for shift in range(0, self.n * lanes, lanes):
             acc |= m >> shift
-        return list(compress(range(lanes), map("1".__eq__, bin(acc & (1 << lanes) - 1)[:1:-1])))
+        return acc & self._low
+
+    def lanes_of(self, m: int) -> List[int]:
+        """The lanes in which m has a state."""
+        return list(compress(range(self.lanes), map("1".__eq__, bin(self.lane_word(m))[:1:-1])))
 
     def states(self, m: int, lane: int) -> Tuple[str, ...]:
         """The sorted names ``s<i>`` of lane's states in m."""
@@ -526,16 +541,28 @@ def lane_closure_ordinals(eqf: EquationalFormula, batch: FrameBatch) -> Tuple[in
     its closure ordinal: the least stage at which the lane's slice of it
     is stable, which on that lane's frame ``least_stable_stage`` gives.
 
-    The batch is a one-shot domain, so the run is not kept.
+    The slices only grow, so a lane's ordinal is the last stage that
+    changes its slice (0 if none does).  The stages are walked from the
+    last one down, each lane taken at the first change met; each stage's
+    lanes are spread to k bytes apiece (lane f to byte k * f), times the
+    stage, into one word, which is read once as a memoryview of k-byte
+    items.  k is the least of 1, 2, 4 and 8 bytes that holds the last
+    stage.  The batch is a one-shot domain, so the run is not kept.
     """
     prog = _program(eqf.system)
     stages, _ = _stages(prog, batch, tuple(_leaves(prog, batch, {})))
     i = eqf.system.vars.index(eqf.init)
-    ordinals = [0] * batch.lanes
-    for a in range(1, len(stages)):
-        # the slices only grow, so the last stage that changes one is its least stable stage
-        for lane in batch.lanes_of(stages[a][i] ^ stages[a - 1][i]):
-            ordinals[lane] = a
+    top = len(stages) - 1
+    k = next(k for k in (1, 2, 4, 8) if not top >> 8 * k)
+    gap, left, acc = "0" * (8 * k - 1), batch._low, 0
+    for a in range(top, 0, -1):
+        hit = batch.lane_word(stages[a][i] ^ stages[a - 1][i]) & left
+        if hit:
+            left ^= hit
+            acc |= int(gap.join(bin(hit)[2:]), 2) * a
+    ordinals = memoryview(acc.to_bytes(batch.lanes * k, sys.byteorder)).cast(_ITEM_CODE[k]).tolist()
+    if sys.byteorder == "big":  # the last lane's bytes come first
+        ordinals.reverse()
     return stages[-1][i], ordinals
 
 

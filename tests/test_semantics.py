@@ -43,7 +43,8 @@ from nablamu import (
     var,
     verify_conservative,
 )
-from nablamu.semantics import FrameBatch, _run, first_stages, least_stable_stage
+from nablamu.normalform import _prop_names
+from nablamu.semantics import FrameBatch, _run, first_stages, lane_closure_ordinals, least_stable_stage
 from nablamu.syntax import Var, _postorder
 
 from conftest import FORMULA_CORPUS, full_corpus, random_instance, ref_eval, two_variable_corpus
@@ -487,6 +488,88 @@ def test_batch_modal_steps_match_the_frame_index_per_lane():
                     for k in range(4):  # nab{} up to three members
                         got = batch.nab(packed[:k], whole)
                         assert lane(got) == index.nab([ms[f] for ms in masks[:k]], own), (n, f, k)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 31, 64, 100])
+def test_batch_modal_steps_on_wide_and_odd_lane_counts(lanes):
+    # dia copies each position's slice to every position by doubling
+    # shifts, which here cross big-int digit boundaries; the copies past
+    # the last position must not reach the result
+    rng = Random(lanes)
+    for n in range(1, 9):
+        cells = range(n * n)
+        draws = [[k for k in cells if rng.random() < p] for p in rng.choices((0.15, 0.5, 0.7, 1.0), k=lanes)]
+        batch = _edge_batch(n, draws)
+        states = [f"s{i}" for i in range(n)]
+        indexes = [FrameIndex(Frame(states, [(states[k // n], states[k % n]) for k in edges]))
+                   for edges in draws]
+        full = (1 << n) - 1
+        for t in range(4):
+            # the first round takes every state in every lane
+            masks = [[full if t == 0 else rng.getrandbits(n) for _ in draws] for _ in range(3)]
+            at = [rng.getrandbits(n) for _ in draws]
+            packed = [_pack(ms, n) for ms in masks]
+            got = batch.dia(packed[0])
+            assert got & ~batch.full == 0, (n, lanes)
+            boxes = batch.box(packed[0]), batch.box(packed[0], _pack(at, n))
+            nabs = [batch.nab(packed[:k]) for k in range(4)]
+            for f, index in enumerate(indexes):
+                assert _lane(got, n, lanes, f) == index.dia(masks[0][f]), (n, lanes, f)
+                assert _lane(boxes[0], n, lanes, f) == index.box(masks[0][f])
+                assert _lane(boxes[1], n, lanes, f) == index.box(masks[0][f], at[f])
+                for k, nab in enumerate(nabs):
+                    assert _lane(nab, n, lanes, f) == index.nab([ms[f] for ms in masks[:k]]), (n, lanes, f, k)
+
+
+def _frame_batch(frames):
+    """The batch whose lane f is frames[f]; every frame has the states
+    s0 .. s(n-1), in that order."""
+    n, lanes = len(frames[0].states), len(frames)
+    props = sorted({p for fr in frames for p in fr.labels})
+    edge_words, label_words = [0] * (n * n), [0] * (len(props) * n)
+    for f, fr in enumerate(frames):
+        assert fr.states == tuple(f"s{i}" for i in range(n))
+        for a, b in fr.edges:
+            edge_words[int(a[1:]) * n + int(b[1:])] |= 1 << f
+        for k, p in enumerate(props):
+            for s in fr.labels.get(p, ()):
+                label_words[k * n + int(s[1:])] |= 1 << f
+    return FrameBatch(n, lanes, edge_words, label_words, props)
+
+
+def _labelled_chain(n, at):
+    """A chain s0 -> ... -> s(n-1) with p at the states ``at``."""
+    states = [f"s{i}" for i in range(n)]
+    return Frame(states, list(zip(states, states[1:])), {"p": [states[i] for i in at]})
+
+
+def _check_lane_ordinals(eqf, frames):
+    batch = _frame_batch(frames)
+    stable, ordinals = lane_closure_ordinals(eqf, batch)
+    assert ordinals == [closure_ordinal_on(fr, eqf) for fr in frames]
+    assert [batch.states(stable, f) for f in range(len(frames))] == [
+        tuple(sorted(denotation(eqf, fr))) for fr in frames]
+    return ordinals
+
+
+def test_lane_closure_ordinals_match_each_lanes_frame():
+    # lanes whose slice never changes (no p) have ordinal 0
+    frames = [_labelled_chain(6, at) for at in ([5], [], [2], [0, 3], [], [0, 1, 2, 3, 4, 5])]
+    assert _check_lane_ordinals(REACH, frames) == [6, 0, 3, 3, 0, 1]
+    assert _check_lane_ordinals(REACH, [_labelled_chain(6, [])]) == [0]
+    assert _check_lane_ordinals(REACH, [_labelled_chain(6, [4])]) == [5]  # one lane
+    for _, eqf in full_corpus():
+        props = sorted(_prop_names(body for _, body in eqf.system.equations))
+        for n in (1, 3, 5):
+            _check_lane_ordinals(eqf, [random_frame(n, 0.3, props, seed) for seed in range(9)])
+
+
+def test_lane_closure_ordinals_past_one_byte():
+    # chains of 300 states with p at a different depth in each lane, so
+    # the run has more than 256 stages and the ordinals take two bytes
+    depths = [299, 0, 255, 256, 17, None, 298]
+    frames = [_labelled_chain(300, [] if d is None else [d]) for d in depths]
+    assert _check_lane_ordinals(REACH, frames) == [0 if d is None else d + 1 for d in depths]
 
 
 # -------------------------------------------------------- closure ordinals

@@ -35,11 +35,15 @@ formula and expands only the formulas that differ.  The checker reads a
 closed formula's truth from the same run, as its stage-0 mask; this
 module evaluates no formula itself.
 From a conservative annotation over a tree, ``extract_relevant`` carves
-out a relevant part: a sub-annotation recording one reason per state
-for the designated variable to hold at the root, duplicating successors
-where one copy cannot serve two reasons at once.  It walks the tree
-with an explicit stack, so tree depth is not bounded by the recursion
-limit.
+out a relevant part: a sub-annotation recording the reasons for the
+designated variable to hold at the root, duplicating successors where
+one copy cannot serve two reasons at once.  It walks the tree with an
+explicit stack, so tree depth is not bounded by the recursion limit,
+and reads each state's entries from the per-state view and its children
+from the tree's successor map, never through ``at`` or ``stripped``.  A
+part that marks two covers at one state (an ``or`` of covers sharing a
+stage) is refused with ExtractionFailure.  ``check_relevant`` reads the
+same views.
 """
 
 from __future__ import annotations
@@ -172,33 +176,38 @@ class Annotation(_Value):
         return (self.frame, self._table)
 
     def _states(self) -> Dict[str, AnnSet]:
-        """The per-state view, derived from the table on first use."""
+        """The per-state view, derived from the table on first use: the
+        states with entries, in frame order."""
         view = self._view
         if view is None:
             states = self.frame.states
-            acc: Dict[str, List[AnnEntry]] = {}
+            acc: List[List[AnnEntry]] = [[] for _ in states]
             for f, pairs in self._table.items():
                 for a, m in pairs:
                     entry = (f, a)
-                    for i in _bits(m):
-                        bucket = acc.get(states[i])
-                        if bucket is None:
-                            acc[states[i]] = [entry]
-                        else:
-                            bucket.append(entry)
-            view = {s: frozenset(ann) for s, ann in acc.items()}
+                    while m:
+                        low = m & -m
+                        acc[low.bit_length() - 1].append(entry)
+                        m ^= low
+            view = {s: frozenset(ann) for s, ann in zip(states, acc) if ann}
             self._set(_view=view)
         return view
+
+    def _formulas(self, state: str) -> FrozenSet[Formula]:
+        """The formulas annotated at a state of the frame, kept once
+        derived."""
+        formulas = self._stripped.get(state)
+        if formulas is None:
+            formulas = self._stripped[state] = frozenset(
+                f for f, _ in self._states().get(state, ()))
+        return formulas
 
     def at(self, state: str) -> AnnSet:
         self.frame.require(state)
         return self._states().get(state, frozenset())
 
     def stripped(self, state: str) -> FrozenSet[Formula]:
-        formulas = self._stripped.get(state)
-        if formulas is None:
-            formulas = self._stripped[state] = frozenset(f for f, _ in self.at(state))
-        return formulas
+        return self._formulas(self.frame.require(state))
 
     def items(self) -> Iterable[Tuple[str, AnnSet]]:
         view = self._states()
@@ -470,75 +479,90 @@ def check_relevant(
     system: EquationSystem,
     frame: Optional[Frame] = None,
 ) -> List[Violation]:
-    """All clause failures of a candidate relevant part; empty means valid."""
+    """All clause failures of a candidate relevant part; empty means valid.
+
+    Violations come in state order, then by formula (``sort_key``) and
+    stage, then in clause order; within a clause, by member (``sort_key``)
+    or successor name.  Each marked entry reads the per-state views of
+    both annotations and the frame's successor map; one scan of each
+    successor's marked set gives D3.5-5a's top stage per member,
+    D3.5-5b's "marks a member" and D3.5-5c's "marks a member above the
+    floor"."""
     if frame is not None and frame != theta.frame:
         raise ValueError("annotation belongs to a different frame")
     frame = theta.frame
     if phi.frame != frame:
         raise ValueError("the two annotations live on different frames")
-    out: List[Violation] = []
-    for s in frame.states:
-        marked = phi.at(s)
-        full = theta.at(s)
-        succs = sorted(frame.successors(s))
-        for f, a in sorted(marked, key=_entry_key):
+    states, succ = frame.states, frame._succ
+    marks, full_view = phi._states(), theta._states()
+    empty: AnnSet = frozenset()
+    found: List[Tuple[tuple, Violation]] = []
+    keys: Dict[Formula, str] = {}
+
+    def fail(i: int, f: Formula, a: Ordinal, rank: int, sub: str, clause: str,
+             detail: str) -> None:
+        key = keys.get(f)
+        if key is None:
+            key = keys[f] = sort_key(f)
+        found.append(((i, key, a, rank, sub), Violation(states[i], clause, f, a, detail)))
+
+    for i, s in enumerate(states):
+        marked = marks.get(s)
+        if not marked:
+            continue
+        full = full_view.get(s, empty)
+        for f, a in marked:
             if (f, a) not in full:
-                out.append(Violation(
-                    s, "D3.5-1", f, a, "marked entry is not in the full annotation"
-                ))
+                fail(i, f, a, 0, "", "D3.5-1", "marked entry is not in the full annotation")
             if isinstance(f, Var):
                 if not a.is_successor:
-                    out.append(Violation(
-                        s, "D3.5-2", f, a,
-                        "variable stage has no immediate predecessor",
-                    ))
+                    fail(i, f, a, 1, "", "D3.5-2",
+                         "variable stage has no immediate predecessor")
                 elif (system.eq(f.name), a.pred()) not in marked:
-                    out.append(Violation(
-                        s, "D3.5-2", f, a,
-                        "right-hand side not marked one stage below",
-                    ))
+                    fail(i, f, a, 1, "", "D3.5-2",
+                         "right-hand side not marked one stage below")
             elif isinstance(f, BigOr) and a > ZERO:
-                for d in sorted(f.args, key=sort_key):
+                for d in f.args:
                     if (d, a) in full and (d, a) not in marked:
-                        out.append(Violation(
-                            s, "D3.5-3", f, a,
-                            f"disjunct {format_formula(d)} shares the stage but is unmarked",
-                        ))
+                        fail(i, f, a, 1, sort_key(d), "D3.5-3",
+                             f"disjunct {format_formula(d)} shares the stage but is unmarked")
             elif isinstance(f, BigAnd):
-                chosen = [d for d in f.args if (d, a) in marked]
-                if len(chosen) != 1:
-                    out.append(Violation(
-                        s, "D3.5-4", f, a,
-                        f"{len(chosen)} conjuncts marked at the stage, need exactly one",
-                    ))
+                chosen = sum((d, a) in marked for d in f.args)
+                if chosen != 1:
+                    fail(i, f, a, 1, "", "D3.5-4",
+                         f"{chosen} conjuncts marked at the stage, need exactly one")
             elif isinstance(f, Nabla) and a > ZERO:
                 gamma = f.args
                 floor = a.pred()
-                for g in sorted(box_set(gamma, s, theta), key=sort_key):
-                    if not any(h == g and b >= a for r in succs for h, b in phi.at(r)):
-                        out.append(Violation(
-                            s, "D3.5-5a", f, a,
-                            f"member {format_formula(g)} held by every successor is not"
-                            " marked arbitrarily high below the stage",
-                        ))
-                for r in sorted(dia_set(gamma, s, theta)):
-                    if not gamma & phi.stripped(r):
-                        out.append(Violation(
-                            s, "D3.5-5b", f, a,
-                            f"successor {r} matches the member set but marks none of it",
-                        ))
-                for r in succs:
-                    if not phi.at(r):
-                        continue
-                    if not any(
-                        h in gamma and b > floor for h, b in phi.at(r)
-                    ):
-                        out.append(Violation(
-                            s, "D3.5-5c", f, a,
-                            f"successor {r} marks entries but no member above the"
-                            f" stage's predecessor {floor}",
-                        ))
-    return out
+                boxed = gamma
+                top: Dict[Formula, Ordinal] = {}
+                for r in succ[s]:
+                    theirs = marks.get(r, empty)
+                    hit = above = False
+                    for h, b in theirs:
+                        if h in gamma:
+                            hit = True
+                            above = above or b > floor
+                            if h not in top or b > top[h]:
+                                top[h] = b
+                    held = theta._formulas(r)
+                    if gamma <= held:
+                        if not hit:
+                            fail(i, f, a, 2, r, "D3.5-5b",
+                                 f"successor {r} matches the member set but marks none of it")
+                    else:
+                        boxed = boxed & held
+                    if theirs and not above:
+                        fail(i, f, a, 3, r, "D3.5-5c",
+                             f"successor {r} marks entries but no member above the"
+                             f" stage's predecessor {floor}")
+                for g in boxed:
+                    if g not in top or top[g] < a:
+                        fail(i, f, a, 1, sort_key(g), "D3.5-5a",
+                             f"member {format_formula(g)} held by every successor is not"
+                             " marked arbitrarily high below the stage")
+    found.sort(key=lambda kv: kv[0])
+    return [v for _, v in found]
 
 
 def extract_relevant(
@@ -551,10 +575,17 @@ def extract_relevant(
     annotation over a tree.
 
     Successors are duplicated (copies named ``orig~1``, ``orig~2``, ...)
-    when a single copy cannot carry two distinct reasons, so the result
-    marks at most one cover formula per state.  Returns the rebuilt
-    tree together with the transported full annotation and the marked
-    part, both over the new tree.
+    when a single copy cannot carry two distinct reasons.  The walk reads
+    each visited state's entry set once from the annotation's per-state
+    view and its children from the tree's successor map; it marks the
+    demands there, collecting the covers, and routes each cover's
+    members to the child carrying them at the top stage, found by one
+    scan of each child's entry set.  The result is checked with
+    ``check_relevant`` and must mark at most one cover formula per
+    state: an ``or`` of covers sharing a stage (``x = or{nab{x},
+    nab{y}}``) marks both and ends in ExtractionFailure.  Returns the
+    rebuilt tree together with the transported full annotation and the
+    marked part, both over the new tree.
     """
     tree = theta.frame
     if not isinstance(tree, TreeFrame):
@@ -577,18 +608,26 @@ def extract_relevant(
 
     new_states: List[str] = []
     new_edges: List[Tuple[str, str]] = []
-    new_labels: Dict[str, List[str]] = {}
+    origins: List[str] = []
     theta_out: Dict[str, AnnSet] = {}
     phi_out: Dict[str, FrozenSet[AnnEntry]] = {}
     copies: Dict[str, int] = {}
+    view, succ = theta._states(), tree._succ
+    empty: AnnSet = frozenset()
+    members: Dict[Formula, Tuple[Formula, ...]] = {}
 
     def fresh_id(orig: str) -> str:
         n = copies.get(orig, 0)
         copies[orig] = n + 1
         return orig if n == 0 else f"{orig}~{n}"
 
-    def stage_of(state: str, f: Formula) -> List[Ordinal]:
-        return sorted(b for g, b in theta.at(state) if g == f)
+    def ordered(f: Formula) -> Tuple[Formula, ...]:
+        """The members of an and/or/nab in ``sort_key`` order, sorted
+        once per call."""
+        args = members.get(f)
+        if args is None:
+            args = members[f] = tuple(sorted(f.args, key=sort_key))
+        return args
 
     def route(routed: Dict[str, List[AnnEntry]], child: str, entry: AnnEntry) -> None:
         bucket = routed.setdefault(child, [])
@@ -606,22 +645,23 @@ def extract_relevant(
         new_states.append(sid)
         if parent is not None:
             new_edges.append((parent, sid))
-        for p in tree.labels_of(orig):
-            new_labels.setdefault(p, []).append(sid)
-        theta_out[sid] = theta.at(orig)
+        origins.append(orig)
+        here = theta_out[sid] = view.get(orig, empty)
 
         marked: Set[AnnEntry] = set()
+        covers: List[AnnEntry] = []
         work = list(demands)
         while work:
-            f, a = work.pop()
-            if (f, a) in marked:
+            entry = work.pop()
+            if entry in marked:
                 continue
-            if (f, a) not in theta.at(orig):
+            f, a = entry
+            if entry not in here:
                 raise ExtractionFailure(
                     f"needed {format_formula(f)} @ {a} at {orig}, but the"
                     " annotation lacks it (is it conservative?)"
                 )
-            marked.add((f, a))
+            marked.add(entry)
             if isinstance(f, Var):
                 if not a.is_successor:
                     raise ExtractionFailure(
@@ -630,53 +670,62 @@ def extract_relevant(
                     )
                 work.append((system.eq(f.name), a.pred()))
             elif isinstance(f, BigOr):
-                for d in sorted(f.args, key=sort_key):
-                    if (d, a) in theta.at(orig):
-                        work.append((d, a))
+                work.extend((d, a) for d in ordered(f) if (d, a) in here)
             elif isinstance(f, BigAnd):
-                sharing = [
-                    d for d in sorted(f.args, key=sort_key)
-                    if (d, a) in theta.at(orig)
-                ]
-                if not sharing:
+                sharing = next((d for d in ordered(f) if (d, a) in here), None)
+                if sharing is None:
                     raise ExtractionFailure(
                         f"no conjunct of {format_formula(f)} shares stage {a}"
                         f" at {orig}"
                     )
-                work.append((sharing[0], a))
+                work.append((sharing, a))
+            elif isinstance(f, Nabla):
+                if a > ZERO:
+                    covers.append(entry)
             elif isinstance(f, (Box, Dia)):
                 raise ExtractionFailure(
                     f"sugared modality {format_formula(f)} reached the relevant"
                     " part; relevant parts are extracted from nabla-form systems"
                 )
 
-        kids = tree.children(orig)
+        kids = sorted(succ[orig])
         routed: Dict[str, List[AnnEntry]] = {}
-        covers = sorted(
-            ((f, a) for f, a in marked if isinstance(f, Nabla) and a > ZERO),
-            key=_entry_key,
-        )
+        if len(covers) > 1:
+            covers.sort(key=_entry_key)
         for f, a in covers:
             gamma = f.args
-            for g in sorted(box_set(gamma, orig, theta), key=sort_key):
+            # per child, each member's top stage there
+            tops: List[Dict[Formula, Ordinal]] = []
+            for t in kids:
+                top: Dict[Formula, Ordinal] = {}
+                for h, b in view.get(t, empty):
+                    if h in gamma and (h not in top or b > top[h]):
+                        top[h] = b
+                tops.append(top)
+            for g in ordered(f):
+                if not all(g in top for top in tops):
+                    continue
+                # the top stage at or above a, the least child name on a tie
                 best: Optional[Tuple[Ordinal, str]] = None
-                for t in kids:
-                    for b in stage_of(t, g):
-                        if b >= a and (best is None or b > best[0]
-                                       or (b == best[0] and t < best[1])):
-                            best = (b, t)
+                for t, top in zip(kids, tops):
+                    b = top[g]
+                    if b >= a and (best is None or b > best[0]):
+                        best = (b, t)
                 if best is None:
                     raise ExtractionFailure(
                         f"no child of {orig} carries {format_formula(g)} at"
                         f" stage {a} or above"
                     )
                 route(routed, best[1], (g, best[0]))
-            for t in sorted(dia_set(gamma, orig, theta)):
+            for t, top in zip(kids, tops):
+                if len(top) < len(gamma):
+                    continue
+                # the top stage at or above a, the least member on a tie
                 best_m: Optional[Tuple[Ordinal, Formula]] = None
-                for g in sorted(gamma, key=sort_key):
-                    for b in stage_of(t, g):
-                        if b >= a and (best_m is None or b > best_m[0]):
-                            best_m = (b, g)
+                for g in ordered(f):
+                    b = top[g]
+                    if b >= a and (best_m is None or b > best_m[0]):
+                        best_m = (b, g)
                 if best_m is None:
                     raise ExtractionFailure(
                         f"child {t} of {orig} matches the member set of"
@@ -695,18 +744,19 @@ def extract_relevant(
         todo.extend(reversed(children))
         phi_out[sid] = frozenset(marked)
 
+    new_labels = {p: [sid for sid, orig in zip(new_states, origins) if orig in ms]
+                  for p, ms in tree.labels.items()}
     new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
     theta2 = Annotation._of(new_tree, _table_of(new_tree, theta_out), theta_out)
     phi2 = Annotation._of(new_tree, _table_of(new_tree, phi_out), phi_out)
 
     problems = check_relevant(phi2, theta2, system)
-    for s in new_tree.states:
-        nablas = {f for f in phi2.stripped(s) if isinstance(f, Nabla)}
-        if len(nablas) > 1:
-            problems.append(Violation(
-                s, "one-cover", None, None,
-                "more than one cover formula marked at a single state",
-            ))
+    problems += [
+        Violation(s, "one-cover", None, None,
+                  "more than one cover formula marked at a single state")
+        for s in new_states
+        if len({f for f, _ in phi_out[s] if isinstance(f, Nabla)}) > 1
+    ]
     if problems:
         raise ExtractionFailure(
             "extraction produced an invalid relevant part: "

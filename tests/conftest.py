@@ -1,17 +1,20 @@
 """Shared fixtures: the system corpus, seeded random generators, the
 recursive reference evaluator, the per-frame reference oracle, the
 bit-walk reference frame enumerator, the per-state reference annotation
-checkers, and the annotated descent spines used by the repetition-pair
-and pump tests."""
+checkers, the per-state reference relevant-part checker and extractor,
+and the annotated descent spines used by the repetition-pair and pump
+tests."""
 
 import itertools
 import zlib
 from pathlib import Path
 from random import Random
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple, Union)
 
 from nablamu import (
+    AnnEntry,
+    AnnSet,
     Annotation,
     BigAnd,
     BigOr,
@@ -19,6 +22,7 @@ from nablamu import (
     Dia,
     EquationSystem,
     EquationalFormula,
+    ExtractionFailure,
     FF,
     ForeignFormula,
     Formula,
@@ -33,13 +37,17 @@ from nablamu import (
     Prop,
     TT,
     TreeFrame,
+    UnboundVariable,
     Var,
     Violation,
+    ZERO,
     box,
+    box_set,
     closure,
     conj,
     cover,
     dia,
+    dia_set,
     disj,
     enumerate_frames,
     first_stages,
@@ -57,7 +65,7 @@ from nablamu import (
     to_equational,
     var,
 )
-from nablamu.annotation import _entry_key, _least
+from nablamu.annotation import _entry_key, _least, _table_of
 from nablamu.normalform import _prop_names
 from nablamu.pump import AnnotatedTree
 from nablamu.semantics import least_stable_stage
@@ -426,6 +434,262 @@ def ref_verify_conservative(
                     "satisfied closure formula missing from the annotation",
                 ))
     return out
+
+
+# The per-state relevant-part reference: each state read through
+# ``Annotation.at``, ``box_set`` and ``dia_set``, every member set and
+# successor set sorted.  The library's checker and extractor must agree
+# with it on trees, annotations, violations and failure messages.
+
+def ref_check_relevant(
+    phi: Annotation,
+    theta: Annotation,
+    system: EquationSystem,
+    frame: Optional[Frame] = None,
+) -> List[Violation]:
+    """All clause failures of a candidate relevant part; empty means valid."""
+    if frame is not None and frame != theta.frame:
+        raise ValueError("annotation belongs to a different frame")
+    frame = theta.frame
+    if phi.frame != frame:
+        raise ValueError("the two annotations live on different frames")
+    out: List[Violation] = []
+    for s in frame.states:
+        marked = phi.at(s)
+        full = theta.at(s)
+        succs = sorted(frame.successors(s))
+        for f, a in sorted(marked, key=_entry_key):
+            if (f, a) not in full:
+                out.append(Violation(
+                    s, "D3.5-1", f, a, "marked entry is not in the full annotation"
+                ))
+            if isinstance(f, Var):
+                if not a.is_successor:
+                    out.append(Violation(
+                        s, "D3.5-2", f, a,
+                        "variable stage has no immediate predecessor",
+                    ))
+                elif (system.eq(f.name), a.pred()) not in marked:
+                    out.append(Violation(
+                        s, "D3.5-2", f, a,
+                        "right-hand side not marked one stage below",
+                    ))
+            elif isinstance(f, BigOr) and a > ZERO:
+                for d in sorted(f.args, key=sort_key):
+                    if (d, a) in full and (d, a) not in marked:
+                        out.append(Violation(
+                            s, "D3.5-3", f, a,
+                            f"disjunct {format_formula(d)} shares the stage but is unmarked",
+                        ))
+            elif isinstance(f, BigAnd):
+                chosen = [d for d in f.args if (d, a) in marked]
+                if len(chosen) != 1:
+                    out.append(Violation(
+                        s, "D3.5-4", f, a,
+                        f"{len(chosen)} conjuncts marked at the stage, need exactly one",
+                    ))
+            elif isinstance(f, Nabla) and a > ZERO:
+                gamma = f.args
+                floor = a.pred()
+                for g in sorted(box_set(gamma, s, theta), key=sort_key):
+                    if not any(h == g and b >= a for r in succs for h, b in phi.at(r)):
+                        out.append(Violation(
+                            s, "D3.5-5a", f, a,
+                            f"member {format_formula(g)} held by every successor is not"
+                            " marked arbitrarily high below the stage",
+                        ))
+                for r in sorted(dia_set(gamma, s, theta)):
+                    if not gamma & phi.stripped(r):
+                        out.append(Violation(
+                            s, "D3.5-5b", f, a,
+                            f"successor {r} matches the member set but marks none of it",
+                        ))
+                for r in succs:
+                    if not phi.at(r):
+                        continue
+                    if not any(
+                        h in gamma and b > floor for h, b in phi.at(r)
+                    ):
+                        out.append(Violation(
+                            s, "D3.5-5c", f, a,
+                            f"successor {r} marks entries but no member above the"
+                            f" stage's predecessor {floor}",
+                        ))
+    return out
+
+
+def ref_extract_relevant(
+    theta: Annotation,
+    system: EquationSystem,
+    target: str,
+    alpha: Optional[Union[int, Ordinal]] = None,
+) -> Tuple[TreeFrame, Annotation, Annotation]:
+    """Carve a relevant part for the target variable out of a conservative
+    annotation over a tree.
+
+    Successors are duplicated (copies named ``orig~1``, ``orig~2``, ...)
+    when a single copy cannot carry two distinct reasons, so the result
+    marks at most one cover formula per state.  Returns the rebuilt
+    tree together with the transported full annotation and the marked
+    part, both over the new tree.
+    """
+    tree = theta.frame
+    if not isinstance(tree, TreeFrame):
+        raise ExtractionFailure("relevant parts are extracted over tree frames")
+    if target not in system.vars:
+        raise UnboundVariable(f"unknown variable {target!r}")
+    root_stages = sorted(b for g, b in theta.at(tree.root) if g == Var(target))
+    if not root_stages:
+        raise ExtractionFailure(
+            f"the root does not satisfy {target!r} under this annotation"
+        )
+    if alpha is None:
+        root_alpha = root_stages[0]
+    else:
+        root_alpha = Ordinal.natural(alpha) if isinstance(alpha, int) else alpha
+        if root_alpha not in root_stages:
+            raise ExtractionFailure(
+                f"the root is not annotated {target}@{root_alpha}"
+            )
+
+    new_states: List[str] = []
+    new_edges: List[Tuple[str, str]] = []
+    new_labels: Dict[str, List[str]] = {}
+    theta_out: Dict[str, AnnSet] = {}
+    phi_out: Dict[str, FrozenSet[AnnEntry]] = {}
+    copies: Dict[str, int] = {}
+
+    def fresh_id(orig: str) -> str:
+        n = copies.get(orig, 0)
+        copies[orig] = n + 1
+        return orig if n == 0 else f"{orig}~{n}"
+
+    def stage_of(state: str, f: Formula) -> List[Ordinal]:
+        return sorted(b for g, b in theta.at(state) if g == f)
+
+    def route(routed: Dict[str, List[AnnEntry]], child: str, entry: AnnEntry) -> None:
+        bucket = routed.setdefault(child, [])
+        if entry not in bucket:
+            bucket.append(entry)
+
+    # Depth-first over (state, demands, parent copy), children pushed in
+    # reverse so that copies are made and named in pre-order.
+    todo: List[Tuple[str, Tuple[AnnEntry, ...], Optional[str]]] = [
+        (tree.root, ((Var(target), root_alpha),), None)
+    ]
+    while todo:
+        orig, demands, parent = todo.pop()
+        sid = fresh_id(orig)
+        new_states.append(sid)
+        if parent is not None:
+            new_edges.append((parent, sid))
+        for p in tree.labels_of(orig):
+            new_labels.setdefault(p, []).append(sid)
+        theta_out[sid] = theta.at(orig)
+
+        marked: Set[AnnEntry] = set()
+        work = list(demands)
+        while work:
+            f, a = work.pop()
+            if (f, a) in marked:
+                continue
+            if (f, a) not in theta.at(orig):
+                raise ExtractionFailure(
+                    f"needed {format_formula(f)} @ {a} at {orig}, but the"
+                    " annotation lacks it (is it conservative?)"
+                )
+            marked.add((f, a))
+            if isinstance(f, Var):
+                if not a.is_successor:
+                    raise ExtractionFailure(
+                        f"variable {f.name} annotated {a} at {orig} has no"
+                        " immediate predecessor stage"
+                    )
+                work.append((system.eq(f.name), a.pred()))
+            elif isinstance(f, BigOr):
+                for d in sorted(f.args, key=sort_key):
+                    if (d, a) in theta.at(orig):
+                        work.append((d, a))
+            elif isinstance(f, BigAnd):
+                sharing = [
+                    d for d in sorted(f.args, key=sort_key)
+                    if (d, a) in theta.at(orig)
+                ]
+                if not sharing:
+                    raise ExtractionFailure(
+                        f"no conjunct of {format_formula(f)} shares stage {a}"
+                        f" at {orig}"
+                    )
+                work.append((sharing[0], a))
+            elif isinstance(f, (Box, Dia)):
+                raise ExtractionFailure(
+                    f"sugared modality {format_formula(f)} reached the relevant"
+                    " part; relevant parts are extracted from nabla-form systems"
+                )
+
+        kids = tree.children(orig)
+        routed: Dict[str, List[AnnEntry]] = {}
+        covers = sorted(
+            ((f, a) for f, a in marked if isinstance(f, Nabla) and a > ZERO),
+            key=_entry_key,
+        )
+        for f, a in covers:
+            gamma = f.args
+            for g in sorted(box_set(gamma, orig, theta), key=sort_key):
+                best: Optional[Tuple[Ordinal, str]] = None
+                for t in kids:
+                    for b in stage_of(t, g):
+                        if b >= a and (best is None or b > best[0]
+                                       or (b == best[0] and t < best[1])):
+                            best = (b, t)
+                if best is None:
+                    raise ExtractionFailure(
+                        f"no child of {orig} carries {format_formula(g)} at"
+                        f" stage {a} or above"
+                    )
+                route(routed, best[1], (g, best[0]))
+            for t in sorted(dia_set(gamma, orig, theta)):
+                best_m: Optional[Tuple[Ordinal, Formula]] = None
+                for g in sorted(gamma, key=sort_key):
+                    for b in stage_of(t, g):
+                        if b >= a and (best_m is None or b > best_m[0]):
+                            best_m = (b, g)
+                if best_m is None:
+                    raise ExtractionFailure(
+                        f"child {t} of {orig} matches the member set of"
+                        f" {format_formula(f)} but carries no member at"
+                        f" stage {a} or above"
+                    )
+                route(routed, t, (best_m[1], best_m[0]))
+
+        children = []
+        for t in kids:
+            entries = routed.get(t)
+            if not entries:
+                children.append((t, (), sid))
+            else:
+                children.extend((t, (entry,), sid) for entry in entries)
+        todo.extend(reversed(children))
+        phi_out[sid] = frozenset(marked)
+
+    new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
+    theta2 = Annotation._of(new_tree, _table_of(new_tree, theta_out), theta_out)
+    phi2 = Annotation._of(new_tree, _table_of(new_tree, phi_out), phi_out)
+
+    problems = ref_check_relevant(phi2, theta2, system)
+    for s in new_tree.states:
+        nablas = {f for f in phi2.stripped(s) if isinstance(f, Nabla)}
+        if len(nablas) > 1:
+            problems.append(Violation(
+                s, "one-cover", None, None,
+                "more than one cover formula marked at a single state",
+            ))
+    if problems:
+        raise ExtractionFailure(
+            "extraction produced an invalid relevant part: "
+            + "; ".join(str(v) for v in problems[:3])
+        )
+    return new_tree, theta2, phi2
 
 
 def corpus_systems() -> List[Tuple[str, EquationalFormula]]:

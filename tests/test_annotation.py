@@ -49,8 +49,11 @@ from nablamu import (
     verify_conservative,
 )
 
-from conftest import (full_corpus, random_instance, ref_check_well_annotation, ref_eval,
-                      ref_verify_conservative)
+from nablamu.annotation import _entry_key
+
+from conftest import (CORPUS_DIR, full_corpus, random_instance, random_system,
+                      ref_check_relevant, ref_check_well_annotation, ref_eval,
+                      ref_extract_relevant, ref_verify_conservative, SPINE_SYSTEM)
 
 CHAIN = parse_frame("states: s0 s1 s2\nedges: s0->s1 s1->s2\nlabels: p: s2\n")
 TREE = parse_frame(
@@ -576,6 +579,127 @@ def test_relevant_checker_allows_unmarked_stage_zero_disjuncts():
     del ents["s2"][NAB_X]
     assert all(v.clause != "D3.5-3"
                for v in check_relevant(Annotation(TREE, ents), th, SYS.system))
+
+
+def test_relevant_checker_needs_a_member_marked_up_to_the_stage():
+    # below the limit w, u marks x only at 1: above the floor 0, short of w
+    tree = parse_frame("states: r u\nedges: r->u\nroot: r\n")
+    ann = parse_annotation("r: x @ w+1; nab{x} @ w;\nu: x @ 1; nab{x} @ 0;\n", tree, ("x",))
+    got = [(v.state, v.clause) for v in check_relevant(ann, ann, SPINE_SYSTEM.system)]
+    assert got == [("r", "D3.5-5a")]
+
+
+def test_relevant_checker_needs_each_matching_successor_to_mark_a_member():
+    tree = parse_frame("states: r u v w\nedges: r->u u->w r->v\nroot: r\n")
+    phi_text = "r: x @ 3; nab{x} @ 2;\nu: x @ 2; nab{x} @ 1;\nw: x @ 1; nab{x} @ 0;\n"
+    theta = parse_annotation(phi_text + "v: x @ 1; nab{x} @ 0;\n", tree, ("x",))
+    phi = parse_annotation(phi_text, tree, ("x",))
+    got = [(v.state, v.clause) for v in check_relevant(phi, theta, SPINE_SYSTEM.system)]
+    assert got == [("r", "D3.5-5b")]
+
+
+def test_relevant_checker_needs_marking_successors_above_the_floor():
+    tree = parse_frame("states: r u v w\nedges: r->u u->w r->v\nroot: r\n")
+    ann = parse_annotation("r: x @ 3; nab{x} @ 2;\nu: x @ 2; nab{x} @ 1;\n"
+                           "w: x @ 1; nab{x} @ 0;\nv: x @ 1; nab{x} @ 0;\n", tree, ("x",))
+    got = [(v.state, v.clause) for v in check_relevant(ann, ann, SPINE_SYSTEM.system)]
+    assert got == [("r", "D3.5-5c")]
+
+
+def test_extraction_refuses_two_covers_at_one_state():
+    # an or of two covers sharing stage 0 marks both at the single state
+    eqf = parse_system((CORPUS_DIR / "two_nablas.mes").read_text())
+    tree = parse_frame("states: r\nroot: r\n")
+    theta = parse_annotation("r: x @ 1; or{nab{x}, nab{y}} @ 0; nab{x} @ 0; nab{y} @ 0;\n",
+                             tree, eqf.system.vars)
+    with pytest.raises(ExtractionFailure) as exc:
+        extract_relevant(theta, eqf.system, "x")
+    assert str(exc.value) == ("extraction produced an invalid relevant part: r: one-cover"
+                              " -- more than one cover formula marked at a single state")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_nablas_extraction_fails_cleanly(seed):
+    eqf = parse_system((CORPUS_DIR / "two_nablas.mes").read_text())
+    frame = random_frame(3 + seed, edge_prob=0.5, props=("p", "q"), seed=seed)
+    tree = unravel(frame, frame.states[0], 3)
+    with pytest.raises(ExtractionFailure):
+        extract_relevant(conservative(eqf.system, tree), eqf.system, eqf.init)
+
+
+# ------------------------------------- relevant parts against the reference
+
+def _relevant_outcome(extract, theta, eqf):
+    """The extraction's tree, both annotations as text and the parts
+    themselves, or the failure text."""
+    try:
+        tree, th, phi = extract(theta, eqf.system, eqf.init)
+    except ExtractionFailure as exc:
+        return ("failure", str(exc)), None
+    return (tree.states, tree.edges, tree.labels, tree.root,
+            format_annotation(th), format_annotation(phi)), (th, phi)
+
+
+def _mutated_parts(th, phi, seed):
+    """phi, phi with one marked entry dropped, and phi with one entry of
+    th added, each drawn from the entries in state and ``_entry_key``
+    order."""
+    rng = Random(seed)
+    marked = [(s, e) for s, ann in phi.items() for e in sorted(ann, key=_entry_key)]
+    unmarked = [(s, e) for s, ann in th.items()
+                for e in sorted(ann - phi.at(s), key=_entry_key)]
+    parts = [phi]
+    for pool, drop in ((marked, True), (unmarked, False)):
+        if pool:
+            s, e = rng.choice(pool)
+            entries = {t: set(ann) for t, ann in phi.items()}
+            (entries[s].discard if drop else entries[s].add)(e)
+            parts.append(Annotation(phi.frame, entries))
+    return parts
+
+
+def _assert_relevant_matches_reference(theta, eqf, seed):
+    want, _ = _relevant_outcome(ref_extract_relevant, theta, eqf)
+    got, parts = _relevant_outcome(extract_relevant, theta, eqf)
+    assert got == want
+    if parts is not None:
+        th, phi = parts
+        for part in _mutated_parts(th, phi, seed):
+            expected = ref_check_relevant(part, th, eqf.system)
+            found = check_relevant(part, th, eqf.system)
+            assert found == expected
+            assert [str(v) for v in found] == [str(v) for v in expected]
+    return got
+
+
+def _unravelled(seed):
+    frame = random_frame(3 + seed % 4, edge_prob=0.5, props=("p", "q"), seed=seed)
+    return unravel(frame, frame.states[0], 3 + seed % 3)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1200), (2, 24), (3, 7), (4, 4)])
+def test_relevant_parts_of_towers_match_the_reference(n, k):
+    eqf = to_equational(desugar(czarnecki_formula(n)))
+    theta = conservative(eqf.system, czarnecki(n, k))
+    assert _assert_relevant_matches_reference(theta, eqf, n)[0] != "failure"
+
+
+def test_relevant_parts_of_the_corpus_match_the_reference():
+    for _, eqf in full_corpus():
+        for s in range(12):
+            _assert_relevant_matches_reference(conservative(eqf.system, _unravelled(s)), eqf, s)
+
+
+@pytest.mark.parametrize("seed,kind", [(25, "copies"), (6, "invalid"), (19, "invalid"),
+                                       (38, "invalid")])
+def test_relevant_parts_of_random_systems_match_the_reference(seed, kind):
+    eqf = random_system(seed)
+    outcomes = [_assert_relevant_matches_reference(conservative(eqf.system, _unravelled(s)),
+                                                   eqf, s) for s in range(12)]
+    if kind == "copies":
+        assert any(o[0] != "failure" and any("~" in t for t in o[0]) for o in outcomes)
+    else:
+        assert any(o[0] == "failure" and "invalid relevant part" in o[1] for o in outcomes)
 
 
 # ---------------------------------------------------------- serialization

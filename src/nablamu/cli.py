@@ -357,82 +357,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, func, dot: bool = False, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, func, *required: str, dot: bool = False, **kwargs) -> argparse.ArgumentParser:
+        """The verb's parser: ``--format``, ``--output``, then each
+        option of ``required``, which the verb must be given."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func, dot=dot)
         p.add_argument("--format", choices=("text", "json", "dot"),
                        default="text", help="output rendering")
         p.add_argument("--output", help="write result to a file (atomic)")
+        for option in required:
+            p.add_argument(option, required=True)
         return p
 
-    p = add("parse", _cmd_parse, help="parse a formula and print it canonically")
-    p.add_argument("--formula", required=True)
+    p = add("parse", _cmd_parse, "--formula", help="parse a formula and print it canonically")
     p.add_argument("--desugar", action="store_true",
                    help="expand box/dia before printing")
 
-    p = add("desugar", _cmd_parse, help="expand box/dia sugar in a formula")
-    p.add_argument("--formula", required=True)
+    p = add("desugar", _cmd_parse, "--formula", help="expand box/dia sugar in a formula")
     p.set_defaults(desugar=True)
 
-    p = add("eval", _cmd_eval, help="evaluate a formula or system on a frame")
-    p.add_argument("--frame", required=True)
+    p = add("eval", _cmd_eval, "--frame", help="evaluate a formula or system on a frame")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--system")
 
-    p = add("approx", _cmd_approx, help="stage-bounded approximation of a system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
+    p = add("approx", _cmd_approx, "--system", "--frame",
+            help="stage-bounded approximation of a system")
     p.add_argument("--stage", required=True, help="ordinal stage, e.g. 3 or w.2+1")
     p.add_argument("--psi", help="formula over the system variables (default: init)")
 
-    p = add("co", _cmd_co, help="per-frame closure ordinal of a system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
-
-    p = add("annotate", _cmd_annotate,
-            help="conservative well-annotation of a system on a frame")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
+    add("co", _cmd_co, "--system", "--frame", help="per-frame closure ordinal of a system")
+    add("annotate", _cmd_annotate, "--system", "--frame",
+        help="conservative well-annotation of a system on a frame")
 
     for name, checker, text in (
             ("check-ann", check_well_annotation, "check the well-annotation clauses"),
             ("conservative-check", verify_conservative,
              "compare an annotation against the conservative one")):
-        p = add(name, _cmd_check, help=text)
-        p.set_defaults(checker=checker)
-        p.add_argument("--system", required=True)
-        p.add_argument("--frame", required=True)
-        p.add_argument("--ann", required=True)
+        add(name, _cmd_check, "--system", "--frame", "--ann", help=text).set_defaults(checker=checker)
 
-    p = add("relevant", _cmd_relevant, dot=True,
+    p = add("relevant", _cmd_relevant, "--system", "--frame", dot=True,
             help="extract a relevant part over a tree frame")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
     p.add_argument("--ann", help="annotation file (default: conservative)")
     p.add_argument("--target", help="traced variable (default: init)")
     p.add_argument("--stage", help="root stage to trace (default: least)")
 
-    p = add("pairs", _cmd_pairs, help="find repetition pairs on an annotated tree")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--phi", required=True)
+    add("pairs", _cmd_pairs, "--system", "--frame", "--theta", "--phi",
+        help="find repetition pairs on an annotated tree")
+    add("pump", _cmd_pump, "--system", "--frame", "--theta", "--phi", "--state", "--donor-frame",
+        "--donor-theta", "--donor-phi", dot=True, help="replace a branch by a donor annotated tree")
 
-    p = add("pump", _cmd_pump, dot=True,
-            help="replace a branch by a donor annotated tree")
-    p.add_argument("--system", required=True)
-    p.add_argument("--frame", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--donor-frame", required=True)
-    p.add_argument("--donor-theta", required=True)
-    p.add_argument("--donor-phi", required=True)
-
-    p = add("conjunctive", _cmd_conjunctive,
+    p = add("conjunctive", _cmd_conjunctive, "--system",
             help="translate a system to conjunctive shape (oracle-verified)")
-    p.add_argument("--system", required=True)
     p.add_argument("--random-count", type=int, default=500,
                    help="randomized oracle frames (default 500)")
 

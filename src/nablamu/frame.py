@@ -11,7 +11,8 @@ closure stages grow without bound, seeded random frames, bounded
 unravellings, and an exhaustive enumerator of small frames up to state
 renaming.  The random and the exhaustive generators share one draw
 format, states by position, and build a ``Frame`` only for callers that
-want one; the semantic oracle packs the draws straight into lanes.
+want one; the semantic oracle packs the exhaustive draws straight into
+lanes (it draws its random frames as lane words itself).
 Frames can be read and written in a small text format, as JSON, and
 (write-only) as DOT.
 """

@@ -21,12 +21,12 @@ one reuses the first result and its merge variables.
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
 per state count, built from lane words with no ``Frame``: the
 exhaustive ones from the draws of ``enumerate_frames``, turned into
-words and labelled once per (max states, propositions), keeping the
-last few batches without the closed leaves of any call; the random ones
-on every call, drawn word by word from one seeded generator per state
-count under the rule stated in ``to_conjunctive``.  Each batch is
-one stage run per system; input and output agree when the two stable
-masks are equal, and only the differing lanes are unpacked for the report.
+words and labelled once per (max states, propositions) and kept for
+the last few such pairs; the random ones on every call, drawn word by
+word from one seeded generator per state count under the rule stated
+in ``to_conjunctive``.  Each batch is one stage run per system; input
+and output agree when the two stable masks are equal, and only the
+differing lanes are unpacked for the report.
 """
 
 from __future__ import annotations
@@ -529,7 +529,10 @@ def to_conjunctive(
     calls, from w = 0 over the bits of k from the least significant up,
     a 1 bit doing ``w |= r`` and a 0 bit ``w &= r``.  Then for each
     proposition in sorted order and each state i, one
-    ``getrandbits(lanes)`` word gives its labels, at probability 1/2."""
+    ``getrandbits(lanes)`` word gives its labels, at probability 1/2.
+    A negative ``random_count`` raises ``ValueError``."""
+    if random_count < 0:
+        raise ValueError(f"random_count must be non-negative, got {random_count}")
     worker = _Conjunctivizer(eqf)
     out = worker.run()
     if not is_conjunctive(out.system):
@@ -540,11 +543,8 @@ def to_conjunctive(
     ordinals: List = [None] * len(labels)
     found = []
     for batch, where in batches:
-        try:
-            want, co_in = lane_closure_ordinals(eqf, batch)
-            got, co_out = lane_closure_ordinals(out, batch)
-        finally:  # a kept batch must not keep this call's closed leaves
-            batch._closed.clear()
+        want, co_in = lane_closure_ordinals(eqf, batch)
+        got, co_out = lane_closure_ordinals(out, batch)
         s = slice(where.start, where.stop, where.step)
         ordinals[s] = zip(labels[s], co_in, co_out)
         if want != got:

@@ -20,16 +20,19 @@ stage recomputes only the operations that read a slot which changed, at
 the states that can change.  The run keeps the stages and, per stage,
 the states that first enter each slot there; the first-stage table is
 read off those deltas.  ``iterate_stages``, ``least_stable_stage``,
-``approx``, ``sig_approx`` and ``first_stages`` all read that run.
-``FrameIndex.eval`` takes one step of a formula's program, or steps a
-mu/nu binder's body until it is stable.
+``approx``, ``sig_approx`` and ``first_stages`` all read that run, and
+the runs are all an index keeps between calls.  ``FrameIndex.eval``
+takes one step of a formula's program, or steps a mu/nu binder's body
+until it is stable, re-evaluating only the leaves that read the
+binder's variable (Emerson and Lei), so nested closed binders stay
+linear with no cache.
 
 A ``FrameBatch`` is a second frame domain for the same stage loop: many
 frames of one state count packed position-major into the lanes of one
 mask, with the modal steps done lane by lane; its one graph step,
 ``dia``, works by target column.  One run gives every frame's stages,
 and ``lane_closure_ordinals`` reads every lane's closure ordinal off them
-in one bulk decode.
+in one bulk decode.  A batch keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ _ITEM_CODE = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
 
 
 class FrameIndex:
-    """A frame compiled to bit masks, with a cache for closed formulas
-    and one for stage runs, keyed by the stage program object."""
+    """A frame compiled to bit masks.  Between calls it keeps only its
+    stage runs, one per system, keyed by the stage program object."""
 
-    __slots__ = ("frame", "n", "full", "position", "succ", "pred", "prop_mask", "_closed", "_runs")
+    __slots__ = ("frame", "n", "full", "position", "succ", "pred", "prop_mask", "_runs")
 
     def __init__(self, frame: Frame) -> None:
         init = object.__setattr__
@@ -97,7 +100,6 @@ class FrameIndex:
                 m |= 1 << pos[s]
             props[p] = m
         init(self, "prop_mask", props)
-        init(self, "_closed", {})
         init(self, "_runs", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -118,35 +120,29 @@ class FrameIndex:
         (missing variables denote the empty set) on its stage program.
 
         A mu (nu) binder steps its body from the empty (full) mask until
-        the value is stable, re-evaluating open binder leaves at each
-        step, so recursion deepens with binder nesting only.
+        the value is stable.  The body's leaves are evaluated once, and
+        after each step only the mu/nu leaves that read the binder's
+        variable again: a leaf that does not read it stays constant while
+        the binder iterates, so a nest of closed binders costs one
+        evaluation each.  Recursion deepens with binder nesting only.
         """
-        closed = not f.fv
-        if closed:
-            cached = self._closed.get(f)
-            if cached is not None:
-                return cached
-        env = env or {}
         prog = _program(f)
-
-        def step(env: Mapping[str, int]) -> int:
-            vals = [env.get(x, 0) for x in prog.inputs] + _leaves(prog, self, env)
-            return _step(prog.ops, vals, self.full, self.nab, self.box, self.dia)[prog.roots[0]]
-
-        if isinstance(f, (Mu, Nu)):
-            inner = dict(env)
-            m = 0 if isinstance(f, Mu) else self.full
-            while True:
-                inner[f.var] = m
-                nxt = step(inner)
-                if nxt == m:
-                    break
-                m = nxt
-        else:
-            m = step(env)
-        if closed:
-            self._closed[f] = m
-        return m
+        binder = isinstance(f, (Mu, Nu))
+        env = {**(env or {}), f.var: 0 if isinstance(f, Mu) else self.full} if binder else env or {}
+        ops, root, full, nab, box, dia = prog.ops, prog.roots[0], self.full, self.nab, self.box, self.dia
+        vals = [env.get(x, 0) for x in prog.inputs] + _leaves(prog, self, env)
+        if not binder:
+            return _step(ops, vals, full, nab, box, dia)[root]
+        again = [(k, g) for k, g in enumerate(prog.leaves, len(prog.inputs))
+                 if isinstance(g, (Mu, Nu)) and f.var in g.fv]
+        m = vals[0]
+        while True:
+            nxt = _step(ops, vals[:], full, nab, box, dia)[root]
+            if nxt == m:
+                return m
+            m = vals[0] = env[f.var] = nxt
+            for k, g in again:
+                vals[k] = self.eval(g, env)
 
     # The modal steps of the stage program.  ``box`` and ``nab`` test
     # only the states of the candidate mask ``at``.
@@ -220,12 +216,12 @@ class FrameBatch:
     batch keeps j's shift and the mask of j's predecessors, lane by lane
     in place; j's slice of the argument is copied to every position by
     ceil(log2 n) doubling shifts and anded with that mask, so a step
-    costs n * ceil(log2 n) word operations, and one per empty slice.  As
-    on an index, ``_closed`` keeps the masks of closed formulas, which
-    are the same whichever system reads them; no stage run is kept.
+    costs n * ceil(log2 n) word operations, and one per empty slice.  A
+    batch keeps nothing between calls, not even its stage runs, so a
+    batch kept for many systems holds only its frames.
     """
 
-    __slots__ = ("n", "lanes", "full", "_low", "prop_mask", "_cols", "_steps", "_closed")
+    __slots__ = ("n", "lanes", "full", "_low", "prop_mask", "_cols", "_steps")
 
     def __init__(self, n: int, lanes: int, edge_words: Sequence[int], label_words: Sequence[int],
                  props: Sequence[str]) -> None:
@@ -242,7 +238,6 @@ class FrameBatch:
         self._cols = tuple((j * lanes, col) for j in range(n) if (col := sum(
             edge_words[i * n + j] << i * lanes for i in range(n))))
         self._steps = tuple(lanes << t for t in range((n - 1).bit_length()))
-        self._closed: Dict[Formula, int] = {}
 
     eval = FrameIndex.eval
 
@@ -407,7 +402,8 @@ def _step(ops, vals: List[int], full: int, nab, box, dia) -> List[int]:
 
 
 class _Run:
-    """The stage program of one system run on one ``FrameIndex``.
+    """The stage program of one system run on one frame domain: a
+    ``FrameIndex``, which keeps it, or a ``FrameBatch``, which does not.
 
     ``leaves`` are the leaf masks and ``stages`` the stage mask tuples.
     ``deltas[0]`` holds the slot masks at stage 0, and ``deltas[a]`` for
@@ -549,8 +545,7 @@ def lane_closure_ordinals(eqf: EquationalFormula, batch: FrameBatch) -> Tuple[in
     items.  k is the least of 1, 2, 4 and 8 bytes that holds the last
     stage.  The batch is a one-shot domain, so the run is not kept.
     """
-    prog = _program(eqf.system)
-    stages, _ = _stages(prog, batch, tuple(_leaves(prog, batch, {})))
+    stages = _Run(_program(eqf.system), batch).stages
     i = eqf.system.vars.index(eqf.init)
     top = len(stages) - 1
     k = next(k for k in (1, 2, 4, 8) if not top >> 8 * k)

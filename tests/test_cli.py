@@ -432,6 +432,12 @@ def test_conjunctive_fresh_names_depend_on_the_input_alone(capsys, tmp_path):
         "# frames checked: 6372; mismatches: 0\n"))
 
 
+def test_conjunctive_refuses_a_negative_random_count(capsys, files):
+    code, out, err = run(capsys, ["conjunctive", "--system", files["nab"],
+                                  "--random-count", "-5"])
+    assert (code, out, err) == (1, "", "error: random_count must be non-negative, got -5\n")
+
+
 # -------------------------------------------------------------- generators
 
 def test_gen_chain(capsys):

@@ -193,6 +193,14 @@ def test_already_conjunctive_systems_pass_through():
     assert report.fresh == ()
 
 
+def test_negative_random_count_is_refused():
+    # it once checked the exhaustive frames alone and reported success
+    eqf = parse_system("system\ninit: x\nx = or{p, nab{x}}\n")
+    with pytest.raises(ValueError, match="random_count must be non-negative, got -5"):
+        to_conjunctive(eqf, exhaustive_max=2, random_count=-5)
+    assert to_conjunctive(eqf, exhaustive_max=1, random_count=0)[1].frames_checked == 4
+
+
 REWRITE_PROBE = """
 import sys
 from conftest import random_system
@@ -447,19 +455,29 @@ def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():
 
 
 def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
+    # A kept batch must hold only its frames: after any call it equals a
+    # batch freshly built from the same words, field by field, so no
+    # closed leaf (or any other datum) of a call stays behind.
+    def fresh_equal(kept):
+        fresh = normalform._exhaustive_batches.__wrapped__(2, ("p",))
+        assert kept[0] == fresh[0]
+        assert [w for _, w in kept[1]] == [w for _, w in fresh[1]]
+        return all(getattr(b, field) == getattr(c, field)
+                   for (b, _), (c, _) in zip(kept[1], fresh[1], strict=True)
+                   for field in FrameBatch.__slots__)
+
     # twenty systems with twenty different closed mu leaves over p
     for k in range(1, 21):
         eqf = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{p, " + "dia " * k + "y}}\n")
         to_conjunctive(eqf, exhaustive_max=2, random_count=10)
         entry = normalform._exhaustive_batches(2, ("p",))
-        batches = [b for b, _ in entry[1]]
-        assert batches and not any(b._closed for b in batches), k
+        assert entry[1] and fresh_equal(entry), k
     assert normalform._exhaustive_batches(2, ("p",)) is entry
     info = normalform._exhaustive_batches.cache_info()
     assert 4 <= info.maxsize and info.currsize <= info.maxsize
-    # a failing translation leaves no closed leaves behind either
+    # a failing translation leaves nothing behind either
     wrong = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{q, dia y}}\n")
     monkeypatch.setattr(normalform._Conjunctivizer, "run", lambda self: wrong)
     with pytest.raises(TranslationFailure):
         to_conjunctive(eqf, exhaustive_max=2, random_count=10)
-    assert not any(b._closed for b in batches)
+    assert fresh_equal(entry)

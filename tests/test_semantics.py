@@ -392,6 +392,47 @@ def test_deepest_parsable_binder_nesting_evaluates():
     assert FrameIndex(cycle).eval(f) == ref_eval(FrameIndex(cycle), f)
 
 
+def _counted_eval(monkeypatch, index, f):
+    """The mask of f on the index and the number of ``FrameIndex.eval``
+    calls it took, nested ones included."""
+    calls = []
+    real = FrameIndex.eval
+
+    def counted(self, g, env=None):
+        calls.append(g)
+        return real(self, g, env)
+
+    with monkeypatch.context() as m:
+        m.setattr(FrameIndex, "eval", counted)
+        mask = index.eval(f)
+    return mask, len(calls)
+
+
+def test_nested_closed_binders_are_evaluated_once_each(monkeypatch):
+    # mu x11. or{q, dia x11, mu x10. or{..., mu x0. or{q, dia x0, p}}}:
+    # no binder reads an enclosing one, so each is evaluated once,
+    # although the outer ones step 31 times on the 30-state chain.
+    text = "p"
+    for i in range(12):
+        text = f"(mu x{i}. or{{q, dia x{i}, {text}}})"
+    f = parse_formula(text)
+    index = FrameIndex(_labelled_chain(30, [29]))
+    mask, calls = _counted_eval(monkeypatch, index, f)
+    assert mask == ref_eval(index, f) == index.full
+    assert calls == 12
+
+
+def test_binder_evaluates_a_leaf_of_outer_variables_once(monkeypatch):
+    # the inner binder reads only the free z, not x, so it stays constant
+    # over x's 31 steps and is evaluated once
+    f = parse_formula("mu x. or{p, dia x, mu y. and{z, dia y}}", vars=("z",))
+    assert f.fv == {"z"}
+    index = FrameIndex(_labelled_chain(30, [29]))
+    mask, calls = _counted_eval(monkeypatch, index, f)
+    assert mask == ref_eval(index, f) == index.full
+    assert calls == 2
+
+
 # ------------------------------------------------- the frame index's steps
 
 def _random_index(seed):

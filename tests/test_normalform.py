@@ -458,20 +458,20 @@ def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
     # A kept batch must hold only its frames: after any call it equals a
     # batch freshly built from the same words, field by field, so no
     # closed leaf (or any other datum) of a call stays behind.
-    def fresh_equal(kept):
+    def assert_fresh(kept, k=None):
         fresh = normalform._exhaustive_batches.__wrapped__(2, ("p",))
-        assert kept[0] == fresh[0]
-        assert [w for _, w in kept[1]] == [w for _, w in fresh[1]]
-        return all(getattr(b, field) == getattr(c, field)
-                   for (b, _), (c, _) in zip(kept[1], fresh[1], strict=True)
-                   for field in FrameBatch.__slots__)
+        assert kept[1] and kept[0] == fresh[0], k
+        for (b, where), (c, fresh_where) in zip(kept[1], fresh[1], strict=True):
+            assert where == fresh_where, k
+            for field in FrameBatch.__slots__:
+                assert getattr(b, field) == getattr(c, field), (k, field)
 
     # twenty systems with twenty different closed mu leaves over p
     for k in range(1, 21):
         eqf = parse_system("system\ninit: x\nx = or{nab{x}, mu y. or{p, " + "dia " * k + "y}}\n")
         to_conjunctive(eqf, exhaustive_max=2, random_count=10)
         entry = normalform._exhaustive_batches(2, ("p",))
-        assert entry[1] and fresh_equal(entry), k
+        assert_fresh(entry, k)
     assert normalform._exhaustive_batches(2, ("p",)) is entry
     info = normalform._exhaustive_batches.cache_info()
     assert 4 <= info.maxsize and info.currsize <= info.maxsize
@@ -480,4 +480,4 @@ def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
     monkeypatch.setattr(normalform._Conjunctivizer, "run", lambda self: wrong)
     with pytest.raises(TranslationFailure):
         to_conjunctive(eqf, exhaustive_max=2, random_count=10)
-    assert fresh_equal(entry)
+    assert_fresh(entry)

@@ -42,8 +42,10 @@ explicit stack, so tree depth is not bounded by the recursion limit,
 and reads each state's entries from the per-state view and its children
 from the tree's successor map, never through ``at`` or ``stripped``.  A
 part that marks two covers at one state (an ``or`` of covers sharing a
-stage) is refused with ExtractionFailure.  ``check_relevant`` reads the
-same views.
+stage) is refused with ExtractionFailure.  When it copies nothing and
+visits the states in frame order, the input tree and annotation come
+back as they are; otherwise both are rebuilt over the new tree.
+``check_relevant`` reads the same views.
 """
 
 from __future__ import annotations
@@ -585,7 +587,10 @@ def extract_relevant(
     state: an ``or`` of covers sharing a stage (``x = or{nab{x},
     nab{y}}``) marks both and ends in ExtractionFailure.  Returns the
     rebuilt tree together with the transported full annotation and the
-    marked part, both over the new tree.
+    marked part, both over the new tree.  When the walk made no copy and
+    visited the states in frame order, the rebuilt tree and annotation
+    would equal the input ones, so the input ``theta.frame`` and
+    ``theta`` themselves are returned.
     """
     tree = theta.frame
     if not isinstance(tree, TreeFrame):
@@ -744,10 +749,14 @@ def extract_relevant(
         todo.extend(reversed(children))
         phi_out[sid] = frozenset(marked)
 
-    new_labels = {p: [sid for sid, orig in zip(new_states, origins) if orig in ms]
-                  for p, ms in tree.labels.items()}
-    new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
-    theta2 = Annotation._of(new_tree, _table_of(new_tree, theta_out), theta_out)
+    if tuple(new_states) == tree.states:
+        # no copy, frame order: the rebuilt tree and theta2 would equal these
+        new_tree, theta2 = tree, theta
+    else:
+        new_labels = {p: [sid for sid, orig in zip(new_states, origins) if orig in ms]
+                      for p, ms in tree.labels.items()}
+        new_tree = TreeFrame(new_states, new_edges, new_labels, root=new_states[0])
+        theta2 = Annotation._of(new_tree, _table_of(new_tree, theta_out), theta_out)
     phi2 = Annotation._of(new_tree, _table_of(new_tree, phi_out), phi_out)
 
     problems = check_relevant(phi2, theta2, system)

@@ -14,6 +14,7 @@ equality, hashing and order are the tuple's; it never equals an int.
 from __future__ import annotations
 
 import enum
+from operator import index
 from typing import Iterable, Optional, Tuple
 
 __all__ = [
@@ -45,19 +46,21 @@ class Ordinal(tuple):
     """An ordinal below omega^omega in Cantor normal form.
 
     The value is the tuple of its (exponent, coefficient) terms,
-    exponents strictly decreasing, coefficients >= 1; the empty tuple is
-    zero.  Equality, hashing, truth and order are the tuple's own: tuple
-    comparison of the terms coincides with ordinal order, since the
-    first differing term decides by exponent then coefficient, and a
-    proper prefix is the smaller ordinal.  An ordinal is not an int:
-    ``Ordinal.natural(3) == 3`` is False, and ``<`` against an int
-    raises TypeError.  Addition accepts ints (``OMEGA + 1``, ``1 + OMEGA``).
+    exponents strictly decreasing, coefficients >= 1, all of them ints
+    (read with ``operator.index``, so a float raises TypeError); the
+    empty tuple is zero.  Equality, hashing, truth and order are the
+    tuple's own: tuple comparison of the terms coincides with ordinal
+    order, since the first differing term decides by exponent then
+    coefficient, and a proper prefix is the smaller ordinal.  An
+    ordinal is not an int: ``Ordinal.natural(3) == 3`` is False, and
+    ``<`` against an int raises TypeError.  Addition accepts ints
+    (``OMEGA + 1``, ``1 + OMEGA``).
     """
 
     __slots__ = ()
 
     def __new__(cls, terms: Iterable[Tuple[int, int]] = ()) -> "Ordinal":
-        terms = tuple((int(e), int(c)) for e, c in terms)
+        terms = tuple((index(e), index(c)) for e, c in terms)
         last_exp = None
         for e, c in terms:
             if e < 0:
@@ -84,9 +87,12 @@ class Ordinal(tuple):
 
     @classmethod
     def natural(cls, n: int) -> "Ordinal":
+        """The finite ordinal n.  Its one term (0, n) is valid once n is
+        a non-negative int, so it is built without ``__new__``'s checks."""
+        n = index(n)
         if n < 0:
             raise ValueError("naturals only")
-        return cls(((0, n),)) if n else cls()
+        return tuple.__new__(cls, ((0, n),) if n else ())
 
     @classmethod
     def single(cls, exponent: int, coefficient: int = 1) -> "Ordinal":
@@ -96,6 +102,7 @@ class Ordinal(tuple):
     @classmethod
     def omega_times(cls, k: int) -> "Ordinal":
         """w.k, the k-th limit ordinal below w^2 (zero for k = 0)."""
+        k = index(k)
         if k < 0:
             raise ValueError("coefficient must be non-negative")
         return cls(((1, k),)) if k else cls()
@@ -127,15 +134,16 @@ class Ordinal(tuple):
 
         In expanded form (coefficients written as repeated summands)
         this deletes the last summand: the last coefficient decrements,
-        and the term disappears at zero.
+        and the term disappears at zero.  Either way the terms stay a
+        valid normal form (the exponents are untouched, a coefficient
+        stays >= 1), so the result is built without ``__new__``'s checks.
         """
         if not self:
             raise NoPredecessor("zero has no predecessor part")
-        head = self[:-1]
         e, c = self[-1]
         if c > 1:
-            return Ordinal(head + ((e, c - 1),))
-        return Ordinal(head)
+            return tuple.__new__(Ordinal, self[:-1] + ((e, c - 1),))
+        return tuple.__new__(Ordinal, self[:-1])
 
     @property
     def last_exponent(self) -> int:

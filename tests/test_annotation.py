@@ -682,6 +682,15 @@ def test_relevant_parts_of_towers_match_the_reference(n, k):
     eqf = to_equational(desugar(czarnecki_formula(n)))
     theta = conservative(eqf.system, czarnecki(n, k))
     assert _assert_relevant_matches_reference(theta, eqf, n)[0] != "failure"
+    # a one-proposition tower is walked in frame order with no copy, so
+    # its tree and annotation come back as they are; (2, 24) is walked
+    # out of frame order and rebuilt
+    tree, th, _ = extract_relevant(theta, eqf.system, eqf.init)
+    if n == 1:
+        assert tree is theta.frame and th is theta
+    elif (n, k) == (2, 24):
+        assert tree is not theta.frame and tree.states != theta.frame.states
+        assert th is not theta and th.frame is tree
 
 
 def test_relevant_parts_of_the_corpus_match_the_reference():

@@ -73,7 +73,10 @@ def test_pred_matches_oracle():
     for a in ORDINALS:
         if a.is_zero:
             continue
-        assert units(a.pred()) == oracle_pred(a), f"pred({a})"
+        p = a.pred()
+        assert units(p) == oracle_pred(a), f"pred({a})"
+        # pred skips __new__'s checks; the checked constructor accepts its terms
+        assert type(p) is Ordinal and p == Ordinal(p.terms)
 
 
 # ------------------------------------------------------- pinned identities
@@ -99,14 +102,29 @@ def test_pred_of_omega_squared():
 # ----------------------------------------------------------- constructors
 
 def test_natural_round_trip():
-    for n in range(10):
+    for n in range(2001):
         o = Ordinal.natural(n)
-        assert o.is_finite and o.to_int() == n
+        assert o.is_finite and o.to_int() == n and o == Ordinal(((0, n),) if n else ())
+        if n:
+            assert o.pred() == Ordinal(((0, n - 1),) if n > 1 else ())
 
 
 def test_natural_rejects_negative():
     with pytest.raises(ValueError):
         Ordinal.natural(-1)
+
+
+def test_only_integers_make_ordinals():
+    for bad in (3.5, 0.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            Ordinal.natural(bad)
+    for terms in (((0, 2.5),), ((0.0, 1),), ((1, 1.0),)):
+        with pytest.raises(TypeError):
+            Ordinal(terms)
+    for bad in (1.5, 0.0):
+        with pytest.raises(TypeError):
+            Ordinal.omega_times(bad)
+    assert Ordinal.natural(True) == ONE and type(Ordinal.natural(True)[0][1]) is int
 
 
 def test_int_mixing_in_addition():
@@ -217,11 +235,14 @@ def test_multiplication_is_absent():
 
 
 def test_pickle_and_copy_round_trips_give_ordinals():
-    for o in (ZERO, ONE, OMEGA + 3, Ordinal.single(2, 5)):
+    # the last four are built by pred and natural without __new__'s checks
+    for o in (ZERO, ONE, OMEGA + 3, Ordinal.single(2, 5),
+              (OMEGA + 3).pred(), (Ordinal.single(2) + OMEGA).pred(), OMEGA.pred(),
+              Ordinal.natural(7)):
         copies = [copy.copy(o), copy.deepcopy(o)]
         copies += [pickle.loads(pickle.dumps(o, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for c in copies:
-            assert type(c) is Ordinal and c == o and str(c) == str(o)
+            assert type(c) is Ordinal and c == o and hash(c) == hash(o) and str(c) == str(o)
 
 
 def test_hash_and_terms_are_the_plain_tuple():

@@ -465,6 +465,14 @@ def test_unmask_gives_the_states_of_the_set_bits():
         for m in (0, idx.full, *(rng.getrandbits(idx.n) for _ in range(10))):
             want = frozenset(s for s, i in idx.position.items() if m >> i & 1)
             assert idx.unmask(m) == want, (seed, m)
+    # state counts at and around the byte and word boundaries of the mask
+    rng = Random(7)
+    for n in (1, 7, 8, 9, 63, 64, 65, 96):
+        idx = FrameIndex(Frame([f"s{i}" for i in range(n)]))
+        bits = (0, n // 2, n - 1)
+        for m in (0, idx.full, *(1 << i for i in bits), *(rng.getrandbits(n) for _ in range(10))):
+            want = frozenset(s for s, i in idx.position.items() if m >> i & 1)
+            assert idx.unmask(m) == want, (n, m)
 
 
 def test_box_and_nab_on_candidates_are_the_full_step_restricted():
@@ -500,6 +508,18 @@ def _edge_batch(n, draws):
     positions draws[f]."""
     words = [sum(1 << f for f, edges in enumerate(draws) if k in edges) for k in range(n * n)]
     return FrameBatch(n, len(draws), words, [], ())
+
+
+def test_lanes_of_gives_the_lanes_with_a_state():
+    rng = Random(5)
+    for lanes in (1, 8, 9, 64, 100):
+        for n in (1, 3):
+            batch = FrameBatch(n, lanes, [0] * (n * n), [], ())
+            for m in (0, batch.full, 1 << (n * lanes - 1),
+                      *(rng.getrandbits(n * lanes) for _ in range(10)),
+                      *(rng.getrandbits(lanes) << rng.randrange(n) * lanes for _ in range(5))):
+                want = [f for f in range(lanes) if any(m >> i * lanes + f & 1 for i in range(n))]
+                assert batch.lanes_of(m) == want, (lanes, n, m)
 
 
 def test_batch_modal_steps_match_the_frame_index_per_lane():

@@ -576,8 +576,9 @@ def extract_relevant(
     """Carve a relevant part for the target variable out of a conservative
     annotation over a tree.
 
-    Successors are duplicated (copies named ``orig~1``, ``orig~2``, ...)
-    when a single copy cannot carry two distinct reasons.  The walk reads
+    Successors are duplicated (copies named ``orig~1``, ``orig~2``, ...,
+    skipping the names the tree already holds) when a single copy cannot
+    carry two distinct reasons.  The walk reads
     each visited state's entry set once from the annotation's per-state
     view and its children from the tree's successor map; it marks the
     demands there, collecting the covers, and routes each cover's
@@ -622,9 +623,14 @@ def extract_relevant(
     members: Dict[Formula, Tuple[Formula, ...]] = {}
 
     def fresh_id(orig: str) -> str:
+        """``orig`` for its first copy, then ``orig~1``, ``orig~2``, ...,
+        skipping every name the tree already holds."""
         n = copies.get(orig, 0)
+        name = orig
+        while n and (name := f"{orig}~{n}") in tree._state_set:
+            n += 1
         copies[orig] = n + 1
-        return orig if n == 0 else f"{orig}~{n}"
+        return name
 
     def ordered(f: Formula) -> Tuple[Formula, ...]:
         """The members of an and/or/nab in ``sort_key`` order, sorted

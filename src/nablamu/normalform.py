@@ -19,14 +19,16 @@ to one cover modality.  A clause is fixed once per rewrite; a repeated
 one reuses the first result and its merge variables.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
-per state count, built from lane words with no ``Frame``: the
+per frame source, built from lane words with no ``Frame``: the
 exhaustive ones from the draws of ``enumerate_frames``, turned into
 words and labelled once per (max states, propositions) and kept for
 the last few such pairs; the random ones on every call, drawn word by
 word from one seeded generator per state count under the rule stated
-in ``to_conjunctive``.  Each batch is one stage run per system; input
-and output agree when the two stable masks are equal, and only the
-differing lanes are unpacked for the report.
+in ``to_conjunctive``.  A batch has as many positions as its largest
+frame has states, and a smaller frame leaves the rest of its lane
+absent.  Each batch is one stage run per system; input and output
+agree when the two stable masks are equal, and only the differing
+lanes are unpacked for the report.
 """
 
 from __future__ import annotations
@@ -448,28 +450,48 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
+def _merged_batch(top: int, props: Tuple[str, ...],
+                  groups: Iterable[Tuple[int, int, List[int], List[int]]]) -> FrameBatch:
+    """One batch of ``top`` positions from groups (n, lanes, edge words,
+    label words) of n-state frames in ``FrameBatch``'s word order, laid
+    in consecutive lanes from lane 0: word e of a group moves to
+    position (e // n, e % n) of ``top`` and shifts to its group's lanes,
+    and the group's frames have the states 0 .. n - 1."""
+    edge_words = [0] * (top * top)
+    label_words = [0] * (len(props) * top)
+    state_words = [0] * top
+    at = 0
+    for n, lanes, edges, labels in groups:
+        for merged, words in ((edge_words, edges), (label_words, labels)):
+            for e, w in enumerate(words):
+                merged[e // n * top + e % n] |= w << at
+        for i in range(n):
+            state_words[i] |= (1 << lanes) - 1 << at
+        at += lanes
+    return FrameBatch(top, at, edge_words, label_words, props, state_words)
+
+
 @lru_cache(maxsize=8)
 def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
-                        ) -> Tuple[Tuple[str, ...], Tuple[Tuple[FrameBatch, range], ...]]:
+                        ) -> Tuple[Tuple[str, ...], Tuple[Tuple[FrameBatch, Tuple[range, ...]], ...]]:
     """The exhaustive frames up to ``max_states`` states: their labels
-    ``E<n>#<k>`` in report order, and one lane batch per state count n
-    with the report position k of each lane.  Turned into lane words and
-    labelled once per (max states, propositions) and kept for the last
-    few such pairs."""
+    ``E<n>#<k>`` in report order, and their one lane batch of
+    ``max_states`` positions, lane k holding report position k.  Turned
+    into lane words and labelled once per (max states, propositions) and
+    kept for the last few such pairs."""
     groups: Dict[int, list] = {}
     for n, edges, labels in _exhaustive_draws(max_states, len(props)):
         groups.setdefault(n, []).append((edges, labels))
     names: List[str] = []
-    batches = []
+    words_of = []
     for n, frames in groups.items():
-        where = range(len(names), len(names) + len(frames))
-        names += [f"E{n}#{k}" for k in where]
+        names += [f"E{n}#{k}" for k in range(len(names), len(names) + len(frames))]
         words = [0] * (n * n + n * len(props))  # the edge words, then the label words
         for f, (edges, labels) in enumerate(frames):
             for k in [*edges, *(n * n + p * n + i for p, members in enumerate(labels) for i in members)]:
                 words[k] |= 1 << f
-        batches.append((FrameBatch(n, len(frames), words[:n * n], words[n * n:], props), where))
-    return tuple(names), tuple(batches)
+        words_of.append((n, len(frames), words[:n * n], words[n * n:]))
+    return tuple(names), ((_merged_batch(max_states, props, words_of), (range(len(names)),)),)
 
 
 @lru_cache(maxsize=4)
@@ -482,28 +504,30 @@ def _oracle_batches(
     eqf: EquationalFormula,
     exhaustive_max: int,
     random_count: int,
-) -> Tuple[List[str], List[Tuple[FrameBatch, range]]]:
-    """The oracle frames' labels in report order, and their lane batches
-    with the report position of each lane: the exhaustive frames, then
-    ``random_count`` random frames of 1-8 states drawn as lane words, one
-    batch per size, under the rule of ``to_conjunctive``."""
+) -> Tuple[List[str], List[Tuple[FrameBatch, Tuple[range, ...]]]]:
+    """The oracle frames' labels in report order, and their lane batches,
+    each with the report positions of its lanes as ranges in lane order:
+    the exhaustive frames, then ``random_count`` random frames of 1-8
+    states drawn as lane words under the rule of ``to_conjunctive``, all
+    in one batch, the n-state frames in one segment of lanes per n."""
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     names, exhaustive = _exhaustive_batches(exhaustive_max, props)
     first = len(names)
     labels = [*names, *_random_labels(random_count)]
     batches = list(exhaustive)
     seed = zlib.crc32(format_system(eqf).encode())
-    for n in range(1, 9):
-        where = range(first + n - 1, len(labels), 8)
-        if where:
-            draw, lanes = Random(seed + n - 1).getrandbits, len(where)
-            k, b = ((5, 5), (5, 4), (1, 1), (11, 4))[(n - 1) % 4]  # edge probability k / 2 ** b
-            draws = [draw(lanes) for _ in range(b * n * n)]  # b in a row per edge position
-            edge_words = [0] * (n * n)
-            for t in range(b):  # bit t of k: or on a 1, and on a 0
-                edge_words = list(map(or_ if k >> t & 1 else and_, edge_words, draws[t::b]))
-            label_words = [draw(lanes) for _ in range(len(props) * n)]
-            batches.append((FrameBatch(n, lanes, edge_words, label_words, props), where))
+    sizes = [(n, where) for n in range(1, 9) if (where := range(first + n - 1, len(labels), 8))]
+    groups = []
+    for n, where in sizes:
+        draw, lanes = Random(seed + n - 1).getrandbits, len(where)
+        k, b = ((5, 5), (5, 4), (1, 1), (11, 4))[(n - 1) % 4]  # edge probability k / 2 ** b
+        draws = [draw(lanes) for _ in range(b * n * n)]  # b in a row per edge position
+        edge_words = [0] * (n * n)
+        for t in range(b):  # bit t of k: or on a 1, and on a 0
+            edge_words = list(map(or_ if k >> t & 1 else and_, edge_words, draws[t::b]))
+        groups.append((n, lanes, edge_words, [draw(lanes) for _ in range(len(props) * n)]))
+    if sizes:
+        batches.append((_merged_batch(sizes[-1][0], props, groups), tuple(w for _, w in sizes)))
     return labels, batches
 
 
@@ -519,17 +543,23 @@ def to_conjunctive(
     The oracle frames are the frames of up to ``exhaustive_max`` states
     over the system's propositions, one per renaming orbit (``E<n>#<k>``),
     then ``random_count`` random frames ``R#<i>``.  The random frames of
-    n states are the lanes of one batch, whose words (bit f of a word is
-    that bit of lane f) one ``Random(seed + n - 1)`` gives, with ``seed``
-    the CRC-32 of the system's text and ``lanes`` the number of such
-    frames; lane f is ``R#(8f + n - 1)``.  Its edges have probability
-    k / 2^b = ``(5/32, 5/16, 1/2, 11/16)[(n - 1) % 4]`` (dyadic stand-ins
-    for 0.15, 0.3, 0.5 and 0.7): for each edge position i * n + j in
-    increasing order, its word is drawn by b ``getrandbits(lanes)``
-    calls, from w = 0 over the bits of k from the least significant up,
-    a 1 bit doing ``w |= r`` and a 0 bit ``w &= r``.  Then for each
+    n states are drawn as lane words (bit f of a word is that bit of the
+    f-th such frame) that one ``Random(seed + n - 1)`` gives, with
+    ``seed`` the CRC-32 of the system's text and ``lanes`` the number of
+    such frames; the f-th is ``R#(8f + n - 1)``.  Their edges have
+    probability k / 2^b = ``(5/32, 5/16, 1/2, 11/16)[(n - 1) % 4]``
+    (dyadic stand-ins for 0.15, 0.3, 0.5 and 0.7): for each edge
+    position i * n + j in increasing order, its word is drawn by b
+    ``getrandbits(lanes)`` calls, from w = 0 over the bits of k from the
+    least significant up, a 1 bit doing ``w |= r`` and a 0 bit
+    ``w &= r``.  Then for each
     proposition in sorted order and each state i, one
     ``getrandbits(lanes)`` word gives its labels, at probability 1/2.
+    The exhaustive frames run as one batch of ``exhaustive_max``
+    positions and the random ones as one batch with as many positions as
+    the largest of them has states (8 from 8 random frames on), the
+    n-state frames in one segment of lanes per n, so each frame source
+    costs two stage runs: one for the input and one for the output.
     A negative ``random_count`` raises ``ValueError``."""
     if random_count < 0:
         raise ValueError(f"random_count must be non-negative, got {random_count}")
@@ -542,14 +572,18 @@ def to_conjunctive(
     labels, batches = _oracle_batches(eqf, exhaustive_max, random_count)
     ordinals: List = [None] * len(labels)
     found = []
-    for batch, where in batches:
+    for batch, wheres in batches:
         want, co_in = lane_closure_ordinals(eqf, batch)
         got, co_out = lane_closure_ordinals(out, batch)
-        s = slice(where.start, where.stop, where.step)
-        ordinals[s] = zip(labels[s], co_in, co_out)
+        at = 0
+        for where in wheres:
+            s = slice(where.start, where.stop, where.step)
+            ordinals[s] = zip(labels[s], co_in[at:at + len(where)], co_out[at:at + len(where)])
+            at += len(where)
         if want != got:
+            position = [k for where in wheres for k in where]
             for lane in batch.lanes_of(want ^ got):
-                k = where[lane]
+                k = position[lane]
                 found.append((k, (labels[k], batch.states(want, lane), batch.states(got, lane))))
     mismatches = [m for _, m in sorted(found)]
     checked = len(labels)

@@ -28,11 +28,13 @@ binder's variable (Emerson and Lei), so nested closed binders stay
 linear with no cache.
 
 A ``FrameBatch`` is a second frame domain for the same stage loop: many
-frames of one state count packed position-major into the lanes of one
-mask, with the modal steps done lane by lane; its one graph step,
-``dia``, works by target column.  One run gives every frame's stages,
-and ``lane_closure_ordinals`` reads every lane's closure ordinal off them
-in one bulk decode.  A batch keeps nothing between calls.
+frames of up to n states packed position-major into the lanes of one
+mask, a smaller frame padded with isolated states that its mask of
+present states leaves out, with the modal steps done lane by lane; its
+one graph step, ``dia``, works by target column.  One run gives every
+frame's stages, and ``lane_closure_ordinals`` reads every lane's closure
+ordinal off the present states in one bulk decode.  A batch keeps
+nothing between calls.
 """
 
 from __future__ import annotations
@@ -212,8 +214,13 @@ def frame_index(frame: Frame) -> FrameIndex:
 
 
 class FrameBatch:
-    """Frames of ``n`` states each, packed position-major into lanes:
-    bit i * lanes + f of a mask is state i of frame f.
+    """Frames of up to ``n`` states each, packed position-major into
+    lanes: bit i * lanes + f of a mask is state i of frame f.
+
+    A frame of m states uses positions 0 .. m - 1 of its lane, and
+    ``present`` is the mask of those states in every lane.  The other
+    positions have no edges and no labels: isolated states, which take
+    values of their own but cannot change the value of a present state.
 
     It offers what the stage program reads of a ``FrameIndex`` (``n``,
     ``full``, ``prop_mask``, ``dia``, ``box``, ``nab`` and ``eval``), and
@@ -230,18 +237,22 @@ class FrameBatch:
     batch kept for many systems holds only its frames.
     """
 
-    __slots__ = ("n", "lanes", "full", "_low", "prop_mask", "_cols", "_steps")
+    __slots__ = ("n", "lanes", "full", "present", "_low", "prop_mask", "_cols", "_steps")
 
     def __init__(self, n: int, lanes: int, edge_words: Sequence[int], label_words: Sequence[int],
-                 props: Sequence[str]) -> None:
+                 props: Sequence[str], state_words: Optional[Sequence[int]] = None) -> None:
         """The batch of ``lanes`` frames given by lane words, whose bit f
         is that bit of frame f: ``edge_words[i * n + j]`` for the edge
-        i -> j, and ``label_words[k * n + i]`` for state i in ``props[k]``
-        (the word order of ``normalform.to_conjunctive``'s random frames)."""
+        i -> j, ``label_words[k * n + i]`` for state i in ``props[k]``
+        (the word order of ``normalform.to_conjunctive``'s random frames)
+        and ``state_words[i]`` for the frames that have state i, by
+        default every frame."""
         self.n = n
         self.lanes = lanes
         self.full = (1 << n * lanes) - 1
         self._low = (1 << lanes) - 1  # every lane of position 0
+        self.present = self.full if state_words is None else sum(
+            w << i * lanes for i, w in enumerate(state_words))
         self.prop_mask = {p: m for k, p in enumerate(props) if (m := sum(
             w << i * lanes for i, w in enumerate(label_words[k * n:k * n + n])))}
         self._cols = tuple((j * lanes, col) for j in range(n) if (col := sum(
@@ -292,7 +303,8 @@ class FrameBatch:
         return list(_selected(range(self.lanes), self.lane_word(m)))
 
     def states(self, m: int, lane: int) -> Tuple[str, ...]:
-        """The sorted names ``s<i>`` of lane's states in m."""
+        """The sorted names ``s<i>`` of lane's present states in m."""
+        m &= self.present
         return tuple(sorted(f"s{i}" for i in range(self.n) if m >> i * self.lanes + lane & 1))
 
 
@@ -542,32 +554,36 @@ def least_stable_stage(
 
 
 def lane_closure_ordinals(eqf: EquationalFormula, batch: FrameBatch) -> Tuple[int, List[int]]:
-    """The stable mask of the initial variable on the batch, and per lane
-    its closure ordinal: the least stage at which the lane's slice of it
-    is stable, which on that lane's frame ``least_stable_stage`` gives.
+    """The stable mask of the initial variable at the batch's present
+    states, and per lane its closure ordinal: the least stage at which
+    the lane's slice of it is stable, which on that lane's frame
+    ``least_stable_stage`` gives.
 
     The slices only grow, so a lane's ordinal is the last stage that
-    changes its slice (0 if none does).  The stages are walked from the
-    last one down, each lane taken at the first change met; each stage's
-    lanes are spread to k bytes apiece (lane f to byte k * f), times the
-    stage, into one word, which is read once as a memoryview of k-byte
-    items.  k is the least of 1, 2, 4 and 8 bytes that holds the last
-    stage.  The batch is a one-shot domain, so the run is not kept.
+    changes its slice (0 if none does).  Only the present states count:
+    the padding states of a lane are isolated, but may still enter the
+    variable late, so each stage's change is masked by ``present``.  The
+    stages are walked from the last one down, each lane taken at the
+    first change met; each stage's lanes are spread to k bytes apiece
+    (lane f to byte k * f), times the stage, into one word, which is read
+    once as a memoryview of k-byte items.  k is the least of 1, 2, 4 and
+    8 bytes that holds the last stage.  The batch is a one-shot domain,
+    so the run is not kept.
     """
     stages = _Run(_program(eqf.system), batch).stages
     i = eqf.system.vars.index(eqf.init)
     top = len(stages) - 1
     k = next(k for k in (1, 2, 4, 8) if not top >> 8 * k)
-    gap, left, acc = "0" * (8 * k - 1), batch._low, 0
+    gap, left, acc, present = "0" * (8 * k - 1), batch._low, 0, batch.present
     for a in range(top, 0, -1):
-        hit = batch.lane_word(stages[a][i] ^ stages[a - 1][i]) & left
+        hit = batch.lane_word((stages[a][i] ^ stages[a - 1][i]) & present) & left
         if hit:
             left ^= hit
             acc |= int(gap.join(bin(hit)[2:]), 2) * a
     ordinals = memoryview(acc.to_bytes(batch.lanes * k, sys.byteorder)).cast(_ITEM_CODE[k]).tolist()
     if sys.byteorder == "big":  # the last lane's bytes come first
         ordinals.reverse()
-    return stages[-1][i], ordinals
+    return stages[-1][i] & present, ordinals
 
 
 def first_stages(

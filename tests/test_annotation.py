@@ -48,6 +48,7 @@ from nablamu import (
     unravel,
     verify_conservative,
 )
+from nablamu.frame import TreeFrame
 
 from nablamu.annotation import _entry_key
 
@@ -709,6 +710,45 @@ def test_relevant_parts_of_random_systems_match_the_reference(seed, kind):
         assert any(o[0] != "failure" and any("~" in t for t in o[0]) for o in outcomes)
     else:
         assert any(o[0] == "failure" and "invalid relevant part" in o[1] for o in outcomes)
+
+
+def _renamed(tree, old, new):
+    """The tree with its state ``old`` named ``new``."""
+    def name(s):
+        return new if s == old else s
+    return TreeFrame([name(s) for s in tree.states], [(name(a), name(b)) for a, b in tree.edges],
+                     {p: [name(s) for s in states] for p, states in tree.labels.items()},
+                     name(tree.root))
+
+
+def _by_position(tree, th, phi):
+    """An extraction's tree and annotations with each state named by its
+    position in the tree's state order."""
+    at = {s: i for i, s in enumerate(tree.states)}
+    return (sorted((at[a], at[b]) for a, b in tree.edges),
+            {p: sorted(at[s] for s in states) for p, states in tree.labels.items()},
+            [th.at(s) for s in tree.states], [phi.at(s) for s in tree.states])
+
+
+def test_relevant_copies_skip_the_names_the_tree_holds():
+    # the part of this system on this tree copies u16 four times, as
+    # u16~1 .. u16~4; with u1 named u16~1, the first copy skips that name
+    eqf = random_system(25)
+    frame = random_frame(4, 0.5, seed=1)
+    tree = unravel(frame, frame.states[0], 4)
+    theta = conservative(eqf.system, tree)
+    _assert_relevant_matches_reference(theta, eqf, 1)
+    plain = extract_relevant(theta, eqf.system, eqf.init)
+    assert [s for s in plain[0].states if s.startswith("u16~")] == [f"u16~{n}" for n in range(1, 5)]
+    clash = _renamed(tree, "u1", "u16~1")
+    got = extract_relevant(conservative(eqf.system, clash), eqf.system, eqf.init)
+    assert [s for s in got[0].states if s.startswith("u16~")] == [f"u16~{n}" for n in range(1, 6)]
+    assert [s for s in got[0].states if s != "u16~1"] == [
+        {"u16~1": "u16~2", "u16~2": "u16~3", "u16~3": "u16~4", "u16~4": "u16~5"}.get(s, s)
+        for s in plain[0].states if s != "u1"]
+    # the renaming keeps u1's place among its siblings, so the walk is the
+    # same and the parts agree state by state
+    assert _by_position(*got) == _by_position(*plain)
 
 
 # ---------------------------------------------------------- serialization

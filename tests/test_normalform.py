@@ -347,9 +347,10 @@ def test_oracle_mismatches_match_the_per_frame_reference(monkeypatch):
 
 
 def _lane_frame(batch, lane):
-    """The frame in one lane of a batch, read off its ``dia`` step and
-    its proposition masks."""
-    n, lanes = batch.n, batch.lanes
+    """The frame in one lane of a batch, read off its present states,
+    its ``dia`` step and its proposition masks."""
+    lanes = batch.lanes
+    n = sum(batch.present >> i * lanes + lane & 1 for i in range(batch.n))
     states = [f"s{i}" for i in range(n)]
     edges = [(states[i], states[j]) for i in range(n) for j in range(n)
              if batch.dia(1 << j * lanes + lane) >> i * lanes + lane & 1]
@@ -372,8 +373,9 @@ def test_oracle_lanes_are_the_oracle_frames():
         names = normalform._exhaustive_batches(2, props)[0]
         assert all(a is b for a, b in zip(labels, names)) and len(names) == len(exhaustive)
         seen = []
-        for batch, where in batches:
-            for lane, k in enumerate(where):
+        for batch, wheres in batches:
+            assert sum(map(len, wheres)) == batch.lanes
+            for lane, k in enumerate(k for where in wheres for k in where):
                 label, fr = reference[k]
                 if label.startswith("E"):
                     assert fr == exhaustive[k]
@@ -383,6 +385,25 @@ def test_oracle_lanes_are_the_oracle_frames():
                 assert _lane_frame(batch, lane) == fr, (name, label)
                 seen.append(k)
         assert sorted(seen) == list(range(len(labels)))
+
+
+def test_oracle_runs_one_batch_per_frame_source(monkeypatch):
+    # the exhaustive frames are one batch and the random frames another,
+    # each run once for the input and once for the output
+    runs = []
+    lane_closure_ordinals = normalform.lane_closure_ordinals
+
+    def counted(eqf, batch):
+        runs.append(batch.lanes)
+        return lane_closure_ordinals(eqf, batch)
+
+    monkeypatch.setattr(normalform, "lane_closure_ordinals", counted)
+    eqf = dict(full_corpus())["twovar_handoff"]
+    for sweep, count in (({}, 4), ({"random_count": 0}, 2), ({"exhaustive_max": 1, "random_count": 3}, 4)):
+        runs.clear()
+        _, report = to_conjunctive(eqf, **sweep)
+        assert len(runs) == count, sweep
+        assert sum(runs) == 2 * report.frames_checked, sweep
 
 
 def test_oracle_seeds_one_generator_per_size(monkeypatch):
@@ -412,9 +433,9 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
 
     built = []
 
-    def recorded(n, lanes, edge_words, label_words, props):
-        built.append((n, lanes, edge_words, label_words, props))
-        return FrameBatch(n, lanes, edge_words, label_words, props)
+    def recorded(n, lanes, edge_words, label_words, props, state_words=None):
+        built.append((n, lanes, edge_words, label_words, state_words))
+        return FrameBatch(n, lanes, edge_words, label_words, props, state_words)
 
     monkeypatch.setattr(Random, "getrandbits", counted)
     monkeypatch.setattr(normalform, "FrameBatch", recorded)
@@ -426,19 +447,34 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
         normalform._exhaustive_batches(1, props)  # kept, so the call below builds none
         calls.clear()
         built.clear()
-        _oracle_batches(eqf, 1, 500)
+        _, batches = _oracle_batches(eqf, 1, 500)
         # one call per word and bit of k for each edge, one per label
         assert len(calls) == sum(odds[(n - 1) % 4][1] * n * n + nprops * n for n in range(1, 9)), name
         lanes = {n: len(range(n - 1, 500, 8)) for n in range(1, 9)}
         assert set(calls) == set(lanes.values()), name
-        assert [(n, k) for n, k, *_ in built] == list(lanes.items()), name
-        for n, k, edge_words, label_words, _ in built:
-            assert (len(edge_words), len(label_words)) == (n * n, nprops * n), name
-            # no lane spills into the next state's slot
-            assert all(0 <= w < 1 << k for w in [*edge_words, *label_words]), name
-            for kind, words in ((n, edge_words), ("label", label_words)):
+        # one batch of 8 positions: the n-state frames are one segment of
+        # lanes per n, in increasing n, holding positions 0 .. n - 1
+        [(top, total, edge_words, label_words, state_words)] = built
+        assert (top, total) == (8, 500), name
+        assert [len(where) for where in batches[-1][1]] == list(lanes.values()), name
+        assert (len(edge_words), len(label_words)) == (64, nprops * 8), name
+        # no lane spills past the last lane
+        assert all(0 <= w < 1 << total for w in [*edge_words, *label_words, *state_words]), name
+        at = 0
+        for n, k in lanes.items():
+            def segment(w):
+                return w >> at & (1 << k) - 1
+            assert [segment(w) for w in state_words] == [(1 << k) - 1] * n + [0] * (8 - n), name
+            # no lane spills into a state beyond its frame's n
+            assert not any(segment(edge_words[i * 8 + j]) for i in range(8) for j in range(8)
+                           if max(i, j) >= n), name
+            assert not any(segment(label_words[q * 8 + i]) for q in range(nprops) for i in range(n, 8)), name
+            words_n = [segment(edge_words[i * 8 + j]) for i in range(n) for j in range(n)]
+            labels_n = [segment(label_words[q * 8 + i]) for q in range(nprops) for i in range(n)]
+            for kind, words in ((n, words_n), ("label", labels_n)):
                 ones[kind] += sum(bin(w).count("1") for w in words)
                 drawn[kind] += k * len(words)
+            at += k
     # every density within four standard deviations of its probability
     for kind in [*range(1, 9), "label"]:
         p = 0.5 if kind == "label" else odds[(kind - 1) % 4][0] / 2 ** odds[(kind - 1) % 4][1]
@@ -448,9 +484,9 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
 
 def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():
     frames = list(enumerate_frames(3, ("p",)))
-    lanes = [_lane_frame(batch, lane)
-             for batch, _ in normalform._exhaustive_batches(3, ("p",))[1]
-             for lane in range(batch.lanes)]
+    [(batch, wheres)] = normalform._exhaustive_batches(3, ("p",))[1]
+    assert (batch.n, wheres) == (3, (range(len(frames)),))
+    lanes = [_lane_frame(batch, lane) for lane in range(batch.lanes)]
     assert lanes == frames
 
 

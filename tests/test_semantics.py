@@ -583,19 +583,22 @@ def test_batch_modal_steps_on_wide_and_odd_lane_counts(lanes):
 
 
 def _frame_batch(frames):
-    """The batch whose lane f is frames[f]; every frame has the states
-    s0 .. s(n-1), in that order."""
-    n, lanes = len(frames[0].states), len(frames)
+    """The batch whose lane f is frames[f], with as many positions as the
+    largest frame has states; a frame of m states has the states s0 ..
+    s(m-1), in that order, at positions 0 .. m - 1 of its lane."""
+    n, lanes = max(len(fr.states) for fr in frames), len(frames)
     props = sorted({p for fr in frames for p in fr.labels})
-    edge_words, label_words = [0] * (n * n), [0] * (len(props) * n)
+    edge_words, label_words, state_words = [0] * (n * n), [0] * (len(props) * n), [0] * n
     for f, fr in enumerate(frames):
-        assert fr.states == tuple(f"s{i}" for i in range(n))
+        assert fr.states == tuple(f"s{i}" for i in range(len(fr.states)))
+        for i in range(len(fr.states)):
+            state_words[i] |= 1 << f
         for a, b in fr.edges:
             edge_words[int(a[1:]) * n + int(b[1:])] |= 1 << f
         for k, p in enumerate(props):
             for s in fr.labels.get(p, ()):
                 label_words[k * n + int(s[1:])] |= 1 << f
-    return FrameBatch(n, lanes, edge_words, label_words, props)
+    return FrameBatch(n, lanes, edge_words, label_words, props, state_words)
 
 
 def _labelled_chain(n, at):
@@ -608,6 +611,7 @@ def _check_lane_ordinals(eqf, frames):
     batch = _frame_batch(frames)
     stable, ordinals = lane_closure_ordinals(eqf, batch)
     assert ordinals == [closure_ordinal_on(fr, eqf) for fr in frames]
+    assert stable & ~batch.present == 0
     assert [batch.states(stable, f) for f in range(len(frames))] == [
         tuple(sorted(denotation(eqf, fr))) for fr in frames]
     return ordinals
@@ -623,6 +627,29 @@ def test_lane_closure_ordinals_match_each_lanes_frame():
         props = sorted(_prop_names(body for _, body in eqf.system.equations))
         for n in (1, 3, 5):
             _check_lane_ordinals(eqf, [random_frame(n, 0.3, props, seed) for seed in range(9)])
+
+
+# In a guarded system a deadlock's value is fixed from stage 1 on, since
+# every cover step there is constant: here x holds at each deadlock (nab{x}
+# is box x there) and nowhere on a frame whose every state has a successor.
+# So on such a frame x's ordinal is 0, while its lane's padding states,
+# which are deadlocks, enter x at stage 1, later than any present state.
+DEADLOCK_ONLY = parse_system("system\ninit: x\nx = or{and{p, dia x}, nab{x}}\n")
+
+
+def test_lane_closure_ordinals_on_mixed_state_counts():
+    # frames of 1-8 states in one batch: each lane's ordinal and stable
+    # slice are its own frame's, whatever its padding does
+    cycles = [Frame([f"s{i}" for i in range(n)], [(f"s{i}", f"s{(i + 1) % n}") for i in range(n)],
+                    {"p": ["s0"]}) for n in (1, 3, 7)]
+    assert [closure_ordinal_on(fr, DEADLOCK_ONLY) for fr in cycles] == [0, 0, 0]
+    for _, eqf in [*full_corpus(), ("deadlock only", DEADLOCK_ONLY)]:
+        props = sorted(_prop_names(body for _, body in eqf.system.equations))
+        frames = [random_frame(n, p, props, 9 * n + k)
+                  for n in range(1, 9) for k, p in enumerate((0.15, 0.3, 0.5, 0.7))]
+        _check_lane_ordinals(eqf, [*cycles, *Random(27).sample(frames, len(frames))])
+    # x walks back down a chain from its deadlock, one state per stage
+    assert _check_lane_ordinals(DEADLOCK_ONLY, [*cycles, _labelled_chain(5, [])]) == [0, 0, 0, 5]
 
 
 def test_lane_closure_ordinals_past_one_byte():

@@ -77,6 +77,15 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _distinct_props(props: Sequence[str]) -> Tuple[str, ...]:
+    """``props`` as a tuple, refused if it names a proposition twice."""
+    props = tuple(props)
+    for k, p in enumerate(props):
+        if p in props[:k]:
+            raise InvalidParameter(f"duplicate proposition name {p!r}")
+    return props
+
+
 class Frame(_Value):
     """A finite Kripke frame with named states; ``labels`` is a read-only
     map from each proposition to its nonempty state set."""
@@ -329,6 +338,7 @@ def random_frame(
         raise InvalidParameter("random_frame needs at least one state")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidParameter("edge_prob must lie in [0, 1]")
+    props = _distinct_props(props)
     draws = _random_draws(size, edge_prob, len(props), Random(seed).random)
     return _drawn_frame(size, *draws, props)
 
@@ -392,7 +402,7 @@ def enumerate_frames(
     renaming orbit: frames equal up to a permutation of state names are
     emitted once.
     """
-    props = tuple(props)
+    props = _distinct_props(props)
     for n, edges, labels in _exhaustive_draws(max_states, len(props), dedup):
         yield _drawn_frame(n, edges, labels, props)
 

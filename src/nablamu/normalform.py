@@ -19,14 +19,13 @@ to one cover modality.  A clause is fixed once per rewrite; a repeated
 one reuses the first result and its merge variables.
 
 The oracle runs its frames as ``semantics.FrameBatch`` lanes, one batch
-per frame source, built from lane words with no ``Frame``: the
-exhaustive ones from the draws of ``enumerate_frames``, turned into
-words and labelled once per (max states, propositions) and kept for
-the last few such pairs; the random ones on every call, drawn word by
-word from one seeded generator per state count under the rule stated
-in ``to_conjunctive``.  A batch has as many positions as its largest
-frame has states, and a smaller frame leaves the rest of its lane
-absent.  Each batch is one stage run per system; input and output
+per frame source, built with no ``Frame`` from one group of lane words
+per state count: the exhaustive ones from the draws of
+``enumerate_frames``, turned into words and labelled once per (max
+states, propositions) and kept for the last few such pairs; the random
+ones on every call, drawn word by word from one seeded generator per
+state count under the rule stated in ``to_conjunctive``.  Each batch is
+one stage run per system; input and output
 agree when the two stable masks are equal, and only the differing
 lanes are unpacked for the report.
 """
@@ -450,48 +449,25 @@ def _assemble(clauses: Set[FrozenSet[Formula]]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _merged_batch(top: int, props: Tuple[str, ...],
-                  groups: Iterable[Tuple[int, int, List[int], List[int]]]) -> FrameBatch:
-    """One batch of ``top`` positions from groups (n, lanes, edge words,
-    label words) of n-state frames in ``FrameBatch``'s word order, laid
-    in consecutive lanes from lane 0: word e of a group moves to
-    position (e // n, e % n) of ``top`` and shifts to its group's lanes,
-    and the group's frames have the states 0 .. n - 1."""
-    edge_words = [0] * (top * top)
-    label_words = [0] * (len(props) * top)
-    state_words = [0] * top
-    at = 0
-    for n, lanes, edges, labels in groups:
-        for merged, words in ((edge_words, edges), (label_words, labels)):
-            for e, w in enumerate(words):
-                merged[e // n * top + e % n] |= w << at
-        for i in range(n):
-            state_words[i] |= (1 << lanes) - 1 << at
-        at += lanes
-    return FrameBatch(top, at, edge_words, label_words, props, state_words)
-
-
 @lru_cache(maxsize=8)
-def _exhaustive_batches(max_states: int, props: Tuple[str, ...]
-                        ) -> Tuple[Tuple[str, ...], Tuple[Tuple[FrameBatch, Tuple[range, ...]], ...]]:
+def _exhaustive_batches(max_states: int, props: Tuple[str, ...]) -> Tuple[Tuple[str, ...], FrameBatch]:
     """The exhaustive frames up to ``max_states`` states: their labels
-    ``E<n>#<k>`` in report order, and their one lane batch of
-    ``max_states`` positions, lane k holding report position k.  Turned
-    into lane words and labelled once per (max states, propositions) and
-    kept for the last few such pairs."""
-    groups: Dict[int, list] = {}
+    ``E<n>#<k>`` in report order, and their one lane batch, lane k
+    holding report position k.  Turned into lane words and labelled once
+    per (max states, propositions) and kept for the last few such pairs."""
+    by_size: Dict[int, list] = {}
     for n, edges, labels in _exhaustive_draws(max_states, len(props)):
-        groups.setdefault(n, []).append((edges, labels))
+        by_size.setdefault(n, []).append((edges, labels))
     names: List[str] = []
-    words_of = []
-    for n, frames in groups.items():
+    groups = []
+    for n, frames in by_size.items():
         names += [f"E{n}#{k}" for k in range(len(names), len(names) + len(frames))]
         words = [0] * (n * n + n * len(props))  # the edge words, then the label words
         for f, (edges, labels) in enumerate(frames):
             for k in [*edges, *(n * n + p * n + i for p, members in enumerate(labels) for i in members)]:
                 words[k] |= 1 << f
-        words_of.append((n, len(frames), words[:n * n], words[n * n:]))
-    return tuple(names), ((_merged_batch(max_states, props, words_of), (range(len(names)),)),)
+        groups.append((n, len(frames), words[:n * n], words[n * n:]))
+    return tuple(names), FrameBatch(props, groups)
 
 
 @lru_cache(maxsize=4)
@@ -509,12 +485,12 @@ def _oracle_batches(
     each with the report positions of its lanes as ranges in lane order:
     the exhaustive frames, then ``random_count`` random frames of 1-8
     states drawn as lane words under the rule of ``to_conjunctive``, all
-    in one batch, the n-state frames in one segment of lanes per n."""
+    in one batch of one group per state count."""
     props = tuple(sorted(_prop_names(body for _, body in eqf.system.equations)))
     names, exhaustive = _exhaustive_batches(exhaustive_max, props)
     first = len(names)
     labels = [*names, *_random_labels(random_count)]
-    batches = list(exhaustive)
+    batches = [(exhaustive, (range(first),))]
     seed = zlib.crc32(format_system(eqf).encode())
     sizes = [(n, where) for n in range(1, 9) if (where := range(first + n - 1, len(labels), 8))]
     groups = []
@@ -527,7 +503,7 @@ def _oracle_batches(
             edge_words = list(map(or_ if k >> t & 1 else and_, edge_words, draws[t::b]))
         groups.append((n, lanes, edge_words, [draw(lanes) for _ in range(len(props) * n)]))
     if sizes:
-        batches.append((_merged_batch(sizes[-1][0], props, groups), tuple(w for _, w in sizes)))
+        batches.append((FrameBatch(props, groups), tuple(w for _, w in sizes)))
     return labels, batches
 
 
@@ -560,7 +536,10 @@ def to_conjunctive(
     the largest of them has states (8 from 8 random frames on), the
     n-state frames in one segment of lanes per n, so each frame source
     costs two stage runs: one for the input and one for the output.
-    A negative ``random_count`` raises ``ValueError``."""
+    An ``exhaustive_max`` below 1 or a negative ``random_count`` raises
+    ``ValueError`` before the rewrite."""
+    if exhaustive_max < 1:
+        raise ValueError(f"exhaustive_max must be at least 1, got {exhaustive_max}")
     if random_count < 0:
         raise ValueError(f"random_count must be non-negative, got {random_count}")
     worker = _Conjunctivizer(eqf)

@@ -27,8 +27,8 @@ until it is stable, re-evaluating only the leaves that read the
 binder's variable (Emerson and Lei), so nested closed binders stay
 linear with no cache.
 
-A ``FrameBatch`` is a second frame domain for the same stage loop: many
-frames of up to n states packed position-major into the lanes of one
+A ``FrameBatch`` is a second frame domain for the same stage loop: groups
+of frames of equal size packed position-major into the lanes of one
 mask, a smaller frame padded with isolated states that its mask of
 present states leaves out, with the modal steps done lane by lane; its
 one graph step, ``dia``, works by target column.  One run gives every
@@ -239,24 +239,31 @@ class FrameBatch:
 
     __slots__ = ("n", "lanes", "full", "present", "_low", "prop_mask", "_cols", "_steps")
 
-    def __init__(self, n: int, lanes: int, edge_words: Sequence[int], label_words: Sequence[int],
-                 props: Sequence[str], state_words: Optional[Sequence[int]] = None) -> None:
-        """The batch of ``lanes`` frames given by lane words, whose bit f
-        is that bit of frame f: ``edge_words[i * n + j]`` for the edge
-        i -> j, ``label_words[k * n + i]`` for state i in ``props[k]``
-        (the word order of ``normalform.to_conjunctive``'s random frames)
-        and ``state_words[i]`` for the frames that have state i, by
-        default every frame."""
-        self.n = n
-        self.lanes = lanes
+    def __init__(self, props: Sequence[str],
+                 groups: Sequence[Tuple[int, int, Sequence[int], Sequence[int]]]) -> None:
+        """The batch of ``groups`` (m, count, edge words, label words) of
+        ``count`` frames of m states each, in consecutive lanes from lane 0,
+        ``n`` their largest m.  Bit f of a group's word is that bit of its
+        frame f: ``edge_words[i * m + j]`` for the edge i -> j and
+        ``label_words[k * m + i]`` for state i in ``props[k]`` (the word
+        order of ``normalform.to_conjunctive``'s random frames)."""
+        self.n = n = max(m for m, _, _, _ in groups)
+        self.lanes = lanes = sum(count for _, count, _, _ in groups)
         self.full = (1 << n * lanes) - 1
         self._low = (1 << lanes) - 1  # every lane of position 0
-        self.present = self.full if state_words is None else sum(
-            w << i * lanes for i, w in enumerate(state_words))
-        self.prop_mask = {p: m for k, p in enumerate(props) if (m := sum(
-            w << i * lanes for i, w in enumerate(label_words[k * n:k * n + n])))}
-        self._cols = tuple((j * lanes, col) for j in range(n) if (col := sum(
-            edge_words[i * n + j] << i * lanes for i in range(n))))
+        at, present, cols, labels = 0, 0, [0] * n, [0] * len(props)
+        for m, count, edge_words, label_words in groups:
+            for i in range(m):
+                shift = i * lanes + at
+                present |= (1 << count) - 1 << shift
+                for j in range(m):
+                    cols[j] |= edge_words[i * m + j] << shift
+                for k in range(len(props)):
+                    labels[k] |= label_words[k * m + i] << shift
+            at += count
+        self.present = present
+        self.prop_mask = {p: m for p, m in zip(props, labels) if m}
+        self._cols = tuple((j * lanes, col) for j, col in enumerate(cols) if col)
         self._steps = tuple(lanes << t for t in range((n - 1).bit_length()))
 
     eval = FrameIndex.eval

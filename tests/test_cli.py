@@ -469,6 +469,11 @@ def test_gen_random_seed_flag_matches_environment(capsys, files, monkeypatch):
     assert flagged == from_env
 
 
+def test_gen_random_refuses_a_duplicate_proposition(capsys):
+    code, out, err = run(capsys, ["gen", "random", "--size", "3", "--props", "p,p"])
+    assert (code, out, err) == (1, "", "error: duplicate proposition name 'p'\n")
+
+
 def test_gen_dot_output(capsys):
     code, out, _ = run(capsys, ["gen", "chain", "--k", "2",
                                 "--format", "dot"])

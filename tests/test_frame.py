@@ -144,6 +144,16 @@ def test_random_frame_edge_probability_extremes():
     assert len(random_frame(3, edge_prob=1.0, seed=1).edges) == 9
 
 
+def test_generators_refuse_a_duplicate_proposition():
+    # enumerate_frames once gave 144 frames over ("p", "p"), 40 of them
+    # distinct, and random_frame kept the second draw of p
+    for props in (("p", "p"), ("p", "q", "p")):
+        with pytest.raises(InvalidParameter, match="^duplicate proposition name 'p'$"):
+            list(enumerate_frames(2, props))
+        with pytest.raises(InvalidParameter, match="^duplicate proposition name 'p'$"):
+            random_frame(3, 0.5, props, 1)
+
+
 def test_enumerate_frames_counts():
     # one state over no propositions: empty or self-loop edge set
     assert len(list(enumerate_frames(1))) == 2

@@ -201,6 +201,18 @@ def test_negative_random_count_is_refused():
     assert to_conjunctive(eqf, exhaustive_max=1, random_count=0)[1].frames_checked == 4
 
 
+def test_exhaustive_max_below_one_is_refused_before_the_rewrite(monkeypatch):
+    # it once ran the whole rewrite and then failed on an internal argument
+    def rewrite(self):
+        raise AssertionError("the rewrite ran")
+
+    monkeypatch.setattr(normalform._Conjunctivizer, "run", rewrite)
+    eqf = parse_system("system\ninit: x\nx = or{p, nab{x}}\n")
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"^exhaustive_max must be at least 1, got {bad}$"):
+            to_conjunctive(eqf, exhaustive_max=bad, random_count=10)
+
+
 REWRITE_PROBE = """
 import sys
 from conftest import random_system
@@ -433,9 +445,9 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
 
     built = []
 
-    def recorded(n, lanes, edge_words, label_words, props, state_words=None):
-        built.append((n, lanes, edge_words, label_words, state_words))
-        return FrameBatch(n, lanes, edge_words, label_words, props, state_words)
+    def recorded(props, groups):
+        built.append((props, groups))
+        return FrameBatch(props, groups)
 
     monkeypatch.setattr(Random, "getrandbits", counted)
     monkeypatch.setattr(normalform, "FrameBatch", recorded)
@@ -452,29 +464,19 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
         assert len(calls) == sum(odds[(n - 1) % 4][1] * n * n + nprops * n for n in range(1, 9)), name
         lanes = {n: len(range(n - 1, 500, 8)) for n in range(1, 9)}
         assert set(calls) == set(lanes.values()), name
-        # one batch of 8 positions: the n-state frames are one segment of
-        # lanes per n, in increasing n, holding positions 0 .. n - 1
-        [(top, total, edge_words, label_words, state_words)] = built
-        assert (top, total) == (8, 500), name
+        # one batch whose groups are the n-state frames, in increasing n,
+        # as n * n edge words and nprops * n label words, bit f of frame f
+        [(given, groups)] = built
+        assert given == props, name
+        assert [(n, count) for n, count, _, _ in groups] == list(lanes.items()), name
         assert [len(where) for where in batches[-1][1]] == list(lanes.values()), name
-        assert (len(edge_words), len(label_words)) == (64, nprops * 8), name
-        # no lane spills past the last lane
-        assert all(0 <= w < 1 << total for w in [*edge_words, *label_words, *state_words]), name
-        at = 0
-        for n, k in lanes.items():
-            def segment(w):
-                return w >> at & (1 << k) - 1
-            assert [segment(w) for w in state_words] == [(1 << k) - 1] * n + [0] * (8 - n), name
-            # no lane spills into a state beyond its frame's n
-            assert not any(segment(edge_words[i * 8 + j]) for i in range(8) for j in range(8)
-                           if max(i, j) >= n), name
-            assert not any(segment(label_words[q * 8 + i]) for q in range(nprops) for i in range(n, 8)), name
-            words_n = [segment(edge_words[i * 8 + j]) for i in range(n) for j in range(n)]
-            labels_n = [segment(label_words[q * 8 + i]) for q in range(nprops) for i in range(n)]
-            for kind, words in ((n, words_n), ("label", labels_n)):
+        for n, k, edge_words, label_words in groups:
+            assert (len(edge_words), len(label_words)) == (n * n, nprops * n), name
+            # no lane spills past the group's last lane
+            assert all(0 <= w < 1 << k for w in [*edge_words, *label_words]), name
+            for kind, words in ((n, edge_words), ("label", label_words)):
                 ones[kind] += sum(bin(w).count("1") for w in words)
                 drawn[kind] += k * len(words)
-            at += k
     # every density within four standard deviations of its probability
     for kind in [*range(1, 9), "label"]:
         p = 0.5 if kind == "label" else odds[(kind - 1) % 4][0] / 2 ** odds[(kind - 1) % 4][1]
@@ -484,8 +486,8 @@ def test_oracle_draws_its_random_frames_as_lane_words(monkeypatch):
 
 def test_exhaustive_lanes_are_the_enumerated_frames_up_to_three_states():
     frames = list(enumerate_frames(3, ("p",)))
-    [(batch, wheres)] = normalform._exhaustive_batches(3, ("p",))[1]
-    assert (batch.n, wheres) == (3, (range(len(frames)),))
+    names, batch = normalform._exhaustive_batches(3, ("p",))
+    assert (batch.n, batch.lanes, len(names)) == (3, len(frames), len(frames))
     lanes = [_lane_frame(batch, lane) for lane in range(batch.lanes)]
     assert lanes == frames
 
@@ -496,11 +498,9 @@ def test_kept_exhaustive_batches_keep_no_closed_leaves(monkeypatch):
     # closed leaf (or any other datum) of a call stays behind.
     def assert_fresh(kept, k=None):
         fresh = normalform._exhaustive_batches.__wrapped__(2, ("p",))
-        assert kept[1] and kept[0] == fresh[0], k
-        for (b, where), (c, fresh_where) in zip(kept[1], fresh[1], strict=True):
-            assert where == fresh_where, k
-            for field in FrameBatch.__slots__:
-                assert getattr(b, field) == getattr(c, field), (k, field)
+        assert kept[0] and kept[0] == fresh[0], k
+        for field in FrameBatch.__slots__:
+            assert getattr(kept[1], field) == getattr(fresh[1], field), (k, field)
 
     # twenty systems with twenty different closed mu leaves over p
     for k in range(1, 21):

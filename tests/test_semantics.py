@@ -1,6 +1,6 @@
 """Evaluation, ordinal-stage approximations, and per-frame closure ordinals."""
 
-from itertools import product
+from itertools import groupby, product
 from random import Random
 
 import pytest
@@ -49,6 +49,7 @@ from nablamu.syntax import Var, _postorder
 
 from conftest import FORMULA_CORPUS, full_corpus, random_instance, ref_eval, two_variable_corpus
 from test_acceptance import GAMMA_FAMILIES, _law_sides
+from test_normalform import _lane_frame
 from test_syntax import deep_closed_mu
 
 
@@ -507,14 +508,14 @@ def _edge_batch(n, draws):
     """The unlabelled batch whose lane f has the edges at the row-major
     positions draws[f]."""
     words = [sum(1 << f for f, edges in enumerate(draws) if k in edges) for k in range(n * n)]
-    return FrameBatch(n, len(draws), words, [], ())
+    return FrameBatch((), [(n, len(draws), words, [])])
 
 
 def test_lanes_of_gives_the_lanes_with_a_state():
     rng = Random(5)
     for lanes in (1, 8, 9, 64, 100):
         for n in (1, 3):
-            batch = FrameBatch(n, lanes, [0] * (n * n), [], ())
+            batch = FrameBatch((), [(n, lanes, [0] * (n * n), [])])
             for m in (0, batch.full, 1 << (n * lanes - 1),
                       *(rng.getrandbits(n * lanes) for _ in range(10)),
                       *(rng.getrandbits(lanes) << rng.randrange(n) * lanes for _ in range(5))):
@@ -582,23 +583,29 @@ def test_batch_modal_steps_on_wide_and_odd_lane_counts(lanes):
                     assert _lane(nab, n, lanes, f) == index.nab([ms[f] for ms in masks[:k]]), (n, lanes, f, k)
 
 
-def _frame_batch(frames):
-    """The batch whose lane f is frames[f], with as many positions as the
-    largest frame has states; a frame of m states has the states s0 ..
-    s(m-1), in that order, at positions 0 .. m - 1 of its lane."""
-    n, lanes = max(len(fr.states) for fr in frames), len(frames)
-    props = sorted({p for fr in frames for p in fr.labels})
-    edge_words, label_words, state_words = [0] * (n * n), [0] * (len(props) * n), [0] * n
+def _group(props, frames):
+    """The group (m, count, edge words, label words) of frames of m
+    states s0 .. s(m-1), in that order: bit f of each word is frames[f]."""
+    m = len(frames[0].states)
+    edge_words, label_words = [0] * (m * m), [0] * (len(props) * m)
     for f, fr in enumerate(frames):
-        assert fr.states == tuple(f"s{i}" for i in range(len(fr.states)))
-        for i in range(len(fr.states)):
-            state_words[i] |= 1 << f
+        assert fr.states == tuple(f"s{i}" for i in range(m))
         for a, b in fr.edges:
-            edge_words[int(a[1:]) * n + int(b[1:])] |= 1 << f
+            edge_words[int(a[1:]) * m + int(b[1:])] |= 1 << f
         for k, p in enumerate(props):
             for s in fr.labels.get(p, ()):
-                label_words[k * n + int(s[1:])] |= 1 << f
-    return FrameBatch(n, lanes, edge_words, label_words, props, state_words)
+                label_words[k * m + int(s[1:])] |= 1 << f
+    return m, len(frames), edge_words, label_words
+
+
+def _frame_batch(frames, runs=False):
+    """The batch whose lane f is frames[f], with as many positions as the
+    largest frame has states: one group per frame, or with ``runs`` one
+    group per run of consecutive frames with equal state counts."""
+    props = sorted({p for fr in frames for p in fr.labels})
+    parts = ([list(run) for _, run in groupby(frames, key=lambda fr: len(fr.states))] if runs
+             else [[fr] for fr in frames])
+    return FrameBatch(props, [_group(props, part) for part in parts])
 
 
 def _labelled_chain(n, at):
@@ -608,7 +615,18 @@ def _labelled_chain(n, at):
 
 
 def _check_lane_ordinals(eqf, frames):
-    batch = _frame_batch(frames)
+    batch = _frame_batch(frames, runs=True)
+    # the runs lay out their frames as one group per frame would
+    single = _frame_batch(frames)
+    for field in FrameBatch.__slots__:
+        assert getattr(batch, field) == getattr(single, field), field
+    # a frame of m states is present at positions 0 .. m - 1 of its lane,
+    # and its padding has no label and no edge
+    lanes = len(frames)
+    assert batch.present == sum(1 << i * lanes + f for f, fr in enumerate(frames)
+                                for i in range(len(fr.states)))
+    assert all(m & ~batch.present == 0 for m in batch.prop_mask.values())
+    assert batch.dia(batch.full) & ~batch.present == 0
     stable, ordinals = lane_closure_ordinals(eqf, batch)
     assert ordinals == [closure_ordinal_on(fr, eqf) for fr in frames]
     assert stable & ~batch.present == 0
@@ -648,6 +666,12 @@ def test_lane_closure_ordinals_on_mixed_state_counts():
         frames = [random_frame(n, p, props, 9 * n + k)
                   for n in range(1, 9) for k, p in enumerate((0.15, 0.3, 0.5, 0.7))]
         _check_lane_ordinals(eqf, [*cycles, *Random(27).sample(frames, len(frames))])
+        # runs of 5, 1, 8 and 3 states, the second crossing lane 64
+        runs = [random_frame(n, (0.15, 0.3, 0.5, 0.7)[f % 4], props, 100 * n + f)
+                for n, count in ((5, 3), (1, 70), (8, 1), (3, 12)) for f in range(count)]
+        _check_lane_ordinals(eqf, runs)
+        batch = _frame_batch(runs, runs=True)
+        assert [_lane_frame(batch, lane) for lane in range(batch.lanes)] == runs
     # x walks back down a chain from its deadlock, one state per stage
     assert _check_lane_ordinals(DEADLOCK_ONLY, [*cycles, _labelled_chain(5, [])]) == [0, 0, 0, 5]
 
